@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test race deprecations bench-fastpath bench-wire bench-sched bench-faults bench-journal bench-serve bench-iterate figures smoke-wire smoke-faults smoke-resume smoke-serve smoke-iterate smoke-elastic fuzz-wire perf-smoke
+.PHONY: check build vet test race deprecations bench-fastpath bench-wire bench-sched bench-faults bench-journal bench-serve bench-iterate figures smoke-wire smoke-faults smoke-resume smoke-serve smoke-iterate smoke-elastic fuzz-wire perf-smoke stress
 
 ## check: the CI gate — vet, the deprecation sweep, build, the full test
 ## suite under the race detector, the fault-injection smoke (kill one
@@ -137,6 +137,15 @@ smoke-elastic:
 	./bin/bfrun -case mergetree -elastic -ranks 2 -join 2 -join-after 150ms \
 		-drain 1 -drain-after 400ms -journal $$dir -wire-tier tcp; \
 	rm -rf $$dir
+
+## stress: the timing-sensitive conformance suites (wire failure typing,
+## fault recovery, resume, elastic membership) 50 times over, once with a
+## single scheduler thread and once with two, so races between a failing
+## peer's teardown and concurrent senders show up as failures here rather
+## than as flakes in `make test`.
+stress:
+	GOMAXPROCS=1 $(GO) test -count=50 -run 'TestWire|TestFault|TestResume|TestElastic' ./internal/conformance
+	GOMAXPROCS=2 $(GO) test -count=50 -run 'TestWire|TestFault|TestResume|TestElastic' ./internal/conformance
 
 ## fuzz-wire: short fuzz smoke of the wire frame decoder (longer runs:
 ## go test -fuzz=FuzzFrameDecode ./internal/wire).

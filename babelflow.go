@@ -36,8 +36,8 @@
 // Runs can be bounded and made fault tolerant: every controller implements
 // RunContext (cancellation and deadlines, with errors testable against
 // ErrCancelled), and the MPI controller additionally offers replay-based
-// peer-loss recovery via its RunRecover method, governed by a RetryPolicy
-// (see WithRetry).
+// peer-loss recovery via its RunElastic method (over a fixed membership for
+// plain recovery), governed by a RetryPolicy (see WithRetry).
 package babelflow
 
 import (

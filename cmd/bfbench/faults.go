@@ -97,77 +97,107 @@ func faultsInputs(g core.TaskGraph) map[core.TaskId][]core.Payload {
 	return initial
 }
 
-// measureFaults runs the workload once failure free and once with a kill.
-func measureFaults(g core.TaskGraph, ranks int, plan faultinject.Plan) (faultsResult, error) {
-	run := func(inject mpi.InjectFunc) (time.Duration, mpi.RecoveryReport, error) {
-		m := core.NewGraphMap(ranks, g)
-		ctrl := mpi.New(mpi.WithRetry(core.RetryPolicy{
-			MaxAttempts: ranks,
-			BaseBackoff: 5 * time.Millisecond,
-		}))
-		if err := ctrl.Initialize(g, m); err != nil {
-			return 0, mpi.RecoveryReport{}, err
-		}
-		cb := faultsDigestCB(g)
-		for _, cid := range g.Callbacks() {
-			if err := ctrl.RegisterCallback(cid, cb); err != nil {
-				return 0, mpi.RecoveryReport{}, err
-			}
-		}
-		fp := ctrl.Fingerprint()
-		connect := func(epoch, nranks int) ([]fabric.Transport, error) {
-			fabs, err := wire.Mesh(nranks, wire.Options{
-				Fingerprint:       fp,
-				Epoch:             epoch,
-				HeartbeatInterval: 50 * time.Millisecond,
-				HeartbeatTimeout:  time.Second,
-			})
-			if err != nil {
-				return nil, err
-			}
-			trs := make([]fabric.Transport, len(fabs))
-			for i, f := range fabs {
-				trs[i] = f
-			}
-			return trs, nil
-		}
-		start := time.Now()
-		out, rep, err := ctrl.RunRecover(context.Background(), mpi.RecoverOptions{
-			Connect: connect,
-			Inject:  inject,
-			Initial: faultsInputs(g),
-		})
-		elapsed := time.Since(start)
-		for _, ps := range out {
-			for _, p := range ps {
-				p.Release()
-			}
-		}
-		return elapsed, rep, err
+// faultsRun runs the workload once through RunElastic over the members of
+// ms, with inject (fault injection) and wrap (a callback wrapper) applied
+// when non-nil, and returns the wall clock and the report. Loss rows run
+// over a fixed membership; elastic rows fire membership events from inside
+// a wrapped callback.
+func faultsRun(g core.TaskGraph, ms *mpi.Membership, inject mpi.InjectFunc, wrap func(core.Callback) core.Callback) (time.Duration, mpi.ElasticReport, error) {
+	ranks := len(ms.Members())
+	m := core.NewGraphMap(ranks, g)
+	ctrl := mpi.New(mpi.WithRetry(core.RetryPolicy{
+		MaxAttempts: ranks,
+		BaseBackoff: 5 * time.Millisecond,
+	}))
+	if err := ctrl.Initialize(g, m); err != nil {
+		return 0, mpi.ElasticReport{}, err
 	}
+	cb := faultsDigestCB(g)
+	if wrap != nil {
+		cb = wrap(cb)
+	}
+	for _, cid := range g.Callbacks() {
+		if err := ctrl.RegisterCallback(cid, cb); err != nil {
+			return 0, mpi.ElasticReport{}, err
+		}
+	}
+	fp := ctrl.Fingerprint()
+	connect := func(epoch, nranks int) ([]fabric.Transport, error) {
+		fabs, err := wire.Mesh(nranks, wire.Options{
+			Fingerprint:       fp,
+			Epoch:             epoch,
+			HeartbeatInterval: 50 * time.Millisecond,
+			HeartbeatTimeout:  time.Second,
+		})
+		if err != nil {
+			return nil, err
+		}
+		trs := make([]fabric.Transport, len(fabs))
+		for i, f := range fabs {
+			trs[i] = f
+		}
+		return trs, nil
+	}
+	start := time.Now()
+	out, rep, err := ctrl.RunElastic(context.Background(), mpi.ElasticOptions{
+		Connect:    connect,
+		Inject:     inject,
+		Initial:    faultsInputs(g),
+		Membership: ms,
+	})
+	elapsed := time.Since(start)
+	for _, ps := range out {
+		for _, p := range ps {
+			p.Release()
+		}
+	}
+	return elapsed, rep, err
+}
 
-	baseline, _, err := run(nil)
+// faultsRow is the report row of one workload: the event-free baseline
+// wall clock beside the faulted (or elastic) run's. Executed is
+// TotalExecuted, callback executions across every epoch; the membership
+// columns stay zero (and are omitted) for loss rows.
+func faultsRow(g core.TaskGraph, baseline, wall time.Duration, rep mpi.ElasticReport) faultsResult {
+	return faultsResult{
+		BaselineMs: float64(baseline.Microseconds()) / 1000,
+		FaultMs:    float64(wall.Microseconds()) / 1000,
+		RecoveryMs: float64(rep.RecoveryTime.Microseconds()) / 1000,
+		Epochs:     rep.Epochs,
+		Replayed:   rep.Replayed,
+		Executed:   rep.TotalExecuted,
+		Tasks:      g.Size(),
+		JoinMs:     float64(rep.JoinLatency.Microseconds()) / 1000,
+		DrainMs:    float64(rep.DrainLatency.Microseconds()) / 1000,
+		HandedOff:  rep.HandedOff,
+	}
+}
+
+// measureFaults runs the workload once failure free and once with a kill,
+// both over a fixed membership of ranks members.
+func measureFaults(g core.TaskGraph, ranks int, plan faultinject.Plan) (faultsResult, error) {
+	steady, err := mpi.NewMembership(ranks)
+	if err != nil {
+		return faultsResult{}, err
+	}
+	baseline, _, err := faultsRun(g, steady, nil, nil)
 	if err != nil {
 		return faultsResult{}, fmt.Errorf("baseline: %w", err)
 	}
-	faultWall, rep, err := run(func(epoch, rank int, tr fabric.Transport) fabric.Transport {
+	ms, err := mpi.NewMembership(ranks)
+	if err != nil {
+		return faultsResult{}, err
+	}
+	wall, rep, err := faultsRun(g, ms, func(epoch, rank int, tr fabric.Transport) fabric.Transport {
 		if epoch != 1 {
 			return tr
 		}
 		return faultinject.Wrap(tr, rank, plan)
-	})
+	}, nil)
 	if err != nil {
 		return faultsResult{}, fmt.Errorf("fault run: %w", err)
 	}
-	return faultsResult{
-		BaselineMs: float64(baseline.Microseconds()) / 1000,
-		FaultMs:    float64(faultWall.Microseconds()) / 1000,
-		RecoveryMs: float64(rep.RecoveryTime.Microseconds()) / 1000,
-		Epochs:     rep.Epochs,
-		Replayed:   rep.Replayed,
-		Executed:   rep.Executed,
-		Tasks:      g.Size(),
-	}, nil
+	return faultsRow(g, baseline, wall, rep), nil
 }
 
 // measureElastic runs the workload once failure free on the starting
@@ -177,61 +207,11 @@ func measureFaults(g core.TaskGraph, ranks int, plan faultinject.Plan) (faultsRe
 // hand off. The elastic run's report carries the join/drain latency
 // (request to running rebalanced epoch) and the adopted-lineage count.
 func measureElastic(g core.TaskGraph, ranks int, onShard core.ShardId, nth int64, event func(*mpi.Membership)) (faultsResult, error) {
-	run := func(ms *mpi.Membership, wrap func(core.Callback) core.Callback) (time.Duration, mpi.ElasticReport, error) {
-		m := core.NewGraphMap(ranks, g)
-		ctrl := mpi.New(mpi.WithRetry(core.RetryPolicy{
-			MaxAttempts: ranks,
-			BaseBackoff: 5 * time.Millisecond,
-		}))
-		if err := ctrl.Initialize(g, m); err != nil {
-			return 0, mpi.ElasticReport{}, err
-		}
-		cb := faultsDigestCB(g)
-		if wrap != nil {
-			cb = wrap(cb)
-		}
-		for _, cid := range g.Callbacks() {
-			if err := ctrl.RegisterCallback(cid, cb); err != nil {
-				return 0, mpi.ElasticReport{}, err
-			}
-		}
-		fp := ctrl.Fingerprint()
-		connect := func(epoch, nranks int) ([]fabric.Transport, error) {
-			fabs, err := wire.Mesh(nranks, wire.Options{
-				Fingerprint:       fp,
-				Epoch:             epoch,
-				HeartbeatInterval: 50 * time.Millisecond,
-				HeartbeatTimeout:  time.Second,
-			})
-			if err != nil {
-				return nil, err
-			}
-			trs := make([]fabric.Transport, len(fabs))
-			for i, f := range fabs {
-				trs[i] = f
-			}
-			return trs, nil
-		}
-		start := time.Now()
-		out, rep, err := ctrl.RunElastic(context.Background(), mpi.ElasticOptions{
-			Connect:    connect,
-			Initial:    faultsInputs(g),
-			Membership: ms,
-		})
-		elapsed := time.Since(start)
-		for _, ps := range out {
-			for _, p := range ps {
-				p.Release()
-			}
-		}
-		return elapsed, rep, err
-	}
-
 	steady, err := mpi.NewMembership(ranks)
 	if err != nil {
 		return faultsResult{}, err
 	}
-	baseline, _, err := run(steady, nil)
+	baseline, _, err := faultsRun(g, steady, nil, nil)
 	if err != nil {
 		return faultsResult{}, fmt.Errorf("baseline: %w", err)
 	}
@@ -256,22 +236,11 @@ func measureElastic(g core.TaskGraph, ranks int, onShard core.ShardId, nth int64
 			return cb(in, id)
 		}
 	}
-	wall, rep, err := run(ms, wrap)
+	wall, rep, err := faultsRun(g, ms, nil, wrap)
 	if err != nil {
 		return faultsResult{}, fmt.Errorf("elastic run: %w", err)
 	}
-	return faultsResult{
-		BaselineMs: float64(baseline.Microseconds()) / 1000,
-		FaultMs:    float64(wall.Microseconds()) / 1000,
-		RecoveryMs: float64(rep.RecoveryTime.Microseconds()) / 1000,
-		Epochs:     rep.Epochs,
-		Replayed:   rep.Replayed,
-		Executed:   rep.TotalExecuted,
-		Tasks:      g.Size(),
-		JoinMs:     float64(rep.JoinLatency.Microseconds()) / 1000,
-		DrainMs:    float64(rep.DrainLatency.Microseconds()) / 1000,
-		HandedOff:  rep.HandedOff,
-	}, nil
+	return faultsRow(g, baseline, wall, rep), nil
 }
 
 // runFaultsBench measures the recovery benchmarks and rewrites the JSON

@@ -26,7 +26,7 @@ type faultRun struct {
 	useCase  string
 	ok       bool
 	elapsed  time.Duration
-	report   mpi.RecoveryReport
+	report   mpi.ElasticReport
 	sinksOK  int
 	sinksAll int
 }
@@ -49,7 +49,7 @@ func runFaults(useCase string, ranks, n, blocks, killRank, killAfter int) {
 		}
 		fmt.Printf("faults %-10s %v  epochs=%d lost=%v replayed=%d executed=%d recovery=%v sinks=%d/%d %s\n",
 			r.useCase, r.elapsed.Round(time.Millisecond), r.report.Epochs, r.report.LostShards,
-			r.report.Replayed, r.report.Executed, r.report.RecoveryTime.Round(time.Millisecond),
+			r.report.Replayed, r.report.TotalExecuted, r.report.RecoveryTime.Round(time.Millisecond),
 			r.sinksOK, r.sinksAll, status)
 	}
 	if failed {
@@ -124,11 +124,17 @@ func runFaultCase(useCase string, ranks, n, blocks, killRank, killAfter int) fau
 		})
 	}
 
+	ms, err := mpi.NewMembership(ranks)
+	if err != nil {
+		log.Fatalf("bfrun: %s: %v", useCase, err)
+	}
+
 	start := time.Now()
-	out, rep, err := ctrl.RunRecover(context.Background(), mpi.RecoverOptions{
-		Connect: connect,
-		Inject:  inject,
-		Initial: wc.initial,
+	out, rep, err := ctrl.RunElastic(context.Background(), mpi.ElasticOptions{
+		Connect:    connect,
+		Inject:     inject,
+		Initial:    wc.initial,
+		Membership: ms,
 	})
 	elapsed := time.Since(start)
 	if err != nil {

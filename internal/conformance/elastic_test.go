@@ -346,7 +346,9 @@ func TestElasticJoinerKilledDuringHandoff(t *testing.T) {
 // flap costs exactly one epoch bump, not an eviction. Callbacks are paced
 // so the epoch provably outlasts the heartbeat timeout; otherwise a small
 // graph finishes inside the detection window and the dead link goes
-// unnoticed.
+// unnoticed. Nobody joins or drains, so this is also the fixed-membership
+// case every plain fault-tolerant run takes: an asymmetric partition there
+// must keep the membership too.
 func TestElasticAsymmetricPartitionKeepsMembership(t *testing.T) {
 	g, err := graphs.NewKWayMerge(8, 2)
 	if err != nil {

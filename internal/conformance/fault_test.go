@@ -53,6 +53,18 @@ func recoverController(t *testing.T, g core.TaskGraph, m core.TaskMap, cb core.C
 	return ctrl, connect
 }
 
+// fixedMembership is the member registry of a plain fault-tolerant run:
+// ranks members, nobody joins or drains, so RunElastic only ever shrinks it
+// by evicting dead members.
+func fixedMembership(t *testing.T, ranks int) *mpi.Membership {
+	t.Helper()
+	ms, err := mpi.NewMembership(ranks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ms
+}
+
 func injectOnFirstEpoch(plan faultinject.Plan) mpi.InjectFunc {
 	return func(epoch, rank int, tr fabric.Transport) fabric.Transport {
 		if epoch != 1 {
@@ -93,35 +105,35 @@ func TestFaultReplayConformance(t *testing.T) {
 
 				m := core.NewGraphMap(ranks, g)
 				ctrl, connect := recoverController(t, g, m, cb)
-				got, rep, err := ctrl.RunRecover(context.Background(), mpi.RecoverOptions{
+				got, rep, err := ctrl.RunElastic(context.Background(), mpi.ElasticOptions{
 					Connect: connect,
 					Inject: injectOnFirstEpoch(faultinject.Plan{
 						KillRank:  victim,
 						KillAfter: killAfter,
 						Delay:     time.Millisecond,
 					}),
-					Initial: initial,
+					Initial:    initial,
+					Membership: fixedMembership(t, ranks),
 				})
 				if err != nil {
-					t.Fatalf("RunRecover: %v (report %+v)", err, rep)
+					t.Fatalf("RunElastic: %v (report %+v)", err, rep)
 				}
 				assertSameSinks(t, want, got)
 				if rep.Epochs > 1 {
-					// The kill fired: the victim must be on the casualty list
-					// and recovery must have replayed from the ledgers rather
-					// than recomputing everything from scratch.
-					found := false
-					for _, s := range rep.LostShards {
-						if s == core.ShardId(victim) {
-							found = true
-						}
-					}
-					if !found {
-						t.Errorf("lost shards %v do not include killed rank %d", rep.LostShards, victim)
+					// The kill fired: the victim, and only the victim, must be
+					// on the casualty list.
+					if len(rep.LostShards) != 1 || rep.LostShards[0] != core.ShardId(victim) {
+						t.Errorf("lost shards %v, want exactly the killed rank [%d]", rep.LostShards, victim)
 					}
 				}
-				t.Logf("epochs=%d lost=%v replayed=%d executed=%d recovery=%v",
-					rep.Epochs, rep.LostShards, rep.Replayed, rep.Executed, rep.RecoveryTime)
+				// Every task of the final epoch either replays from a ledger
+				// or executes exactly once.
+				if total := rep.Replayed + rep.Executed; total != g.Size() {
+					t.Errorf("final epoch replayed %d + executed %d = %d, want task count %d",
+						rep.Replayed, rep.Executed, total, g.Size())
+				}
+				t.Logf("epochs=%d lost=%v replayed=%d executed=%d total-executed=%d recovery=%v",
+					rep.Epochs, rep.LostShards, rep.Replayed, rep.Executed, rep.TotalExecuted, rep.RecoveryTime)
 			})
 		}
 	}
@@ -142,16 +154,17 @@ func TestFaultDuplicateDelivery(t *testing.T) {
 
 	m := core.NewGraphMap(4, g)
 	ctrl, connect := recoverController(t, g, m, cb)
-	got, rep, err := ctrl.RunRecover(context.Background(), mpi.RecoverOptions{
+	got, rep, err := ctrl.RunElastic(context.Background(), mpi.ElasticOptions{
 		Connect: connect,
 		Inject: injectOnFirstEpoch(faultinject.Plan{
 			KillRank:       -1,
 			DuplicateEvery: 2,
 		}),
-		Initial: initial,
+		Initial:    initial,
+		Membership: fixedMembership(t, 4),
 	})
 	if err != nil {
-		t.Fatalf("RunRecover: %v", err)
+		t.Fatalf("RunElastic: %v", err)
 	}
 	if rep.Epochs != 1 {
 		t.Errorf("duplicates alone forced %d epochs, want 1", rep.Epochs)
@@ -175,15 +188,16 @@ func TestFaultDegradeToSingleRank(t *testing.T) {
 
 	m := core.NewGraphMap(4, g)
 	ctrl, connect := recoverController(t, g, m, cb)
-	got, rep, err := ctrl.RunRecover(context.Background(), mpi.RecoverOptions{
+	got, rep, err := ctrl.RunElastic(context.Background(), mpi.ElasticOptions{
 		Connect: connect,
 		Inject: func(epoch, rank int, tr fabric.Transport) fabric.Transport {
 			return faultinject.Wrap(tr, rank, faultinject.Plan{KillRank: 0, KillAfter: 0})
 		},
-		Initial: initial,
+		Initial:    initial,
+		Membership: fixedMembership(t, 4),
 	})
 	if err != nil {
-		t.Fatalf("RunRecover: %v (report %+v)", err, rep)
+		t.Fatalf("RunElastic: %v (report %+v)", err, rep)
 	}
 	assertSameSinks(t, want, got)
 	if len(rep.LostShards) == 0 {
@@ -192,11 +206,16 @@ func TestFaultDegradeToSingleRank(t *testing.T) {
 	if rep.Epochs < 2 {
 		t.Errorf("completed in %d epoch(s), expected repeated recovery", rep.Epochs)
 	}
-	t.Logf("epochs=%d lost=%v replayed=%d executed=%d", rep.Epochs, rep.LostShards, rep.Replayed, rep.Executed)
+	if total := rep.Replayed + rep.Executed; total != g.Size() {
+		t.Errorf("final epoch replayed %d + executed %d = %d, want task count %d",
+			rep.Replayed, rep.Executed, total, g.Size())
+	}
+	t.Logf("epochs=%d lost=%v replayed=%d executed=%d total-executed=%d",
+		rep.Epochs, rep.LostShards, rep.Replayed, rep.Executed, rep.TotalExecuted)
 }
 
 // TestFaultRetriesExhausted bounds recovery: with a two-attempt budget and
-// a kill on every epoch, RunRecover must give up with a typed
+// a kill on every epoch, RunElastic must give up with a typed
 // ErrRetriesExhausted rather than hang or mask the failure.
 func TestFaultRetriesExhausted(t *testing.T) {
 	g, err := graphs.NewReduction(8, 2)
@@ -233,15 +252,16 @@ func TestFaultRetriesExhausted(t *testing.T) {
 		}
 		return trs, nil
 	}
-	_, rep, err := ctrl.RunRecover(context.Background(), mpi.RecoverOptions{
+	_, rep, err := ctrl.RunElastic(context.Background(), mpi.ElasticOptions{
 		Connect: connect,
 		Inject: func(epoch, rank int, tr fabric.Transport) fabric.Transport {
 			return faultinject.Wrap(tr, rank, faultinject.Plan{KillRank: 0, KillAfter: 0})
 		},
-		Initial: initial,
+		Initial:    initial,
+		Membership: fixedMembership(t, 4),
 	})
 	if err == nil {
-		t.Fatal("RunRecover succeeded though every epoch was killed")
+		t.Fatal("RunElastic succeeded though every epoch was killed")
 	}
 	if !errors.Is(err, core.ErrRetriesExhausted) {
 		t.Errorf("error %v does not wrap core.ErrRetriesExhausted", err)

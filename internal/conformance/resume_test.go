@@ -267,12 +267,13 @@ func corruptFrameRecovery(t *testing.T, tier wire.Tier) {
 		return trs, nil
 	}
 
-	got, rep, err := ctrl.RunRecover(context.Background(), mpi.RecoverOptions{
-		Connect: connect,
-		Initial: initial,
+	got, rep, err := ctrl.RunElastic(context.Background(), mpi.ElasticOptions{
+		Connect:    connect,
+		Initial:    initial,
+		Membership: fixedMembership(t, 4),
 	})
 	if err != nil {
-		t.Fatalf("RunRecover: %v (report %+v)", err, rep)
+		t.Fatalf("RunElastic: %v (report %+v)", err, rep)
 	}
 	assertSameSinks(t, want, got)
 	if rep.Epochs < 2 {

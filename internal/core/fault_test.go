@@ -258,148 +258,6 @@ func TestLedgerBackedPinsOnStoreFailure(t *testing.T) {
 	}
 }
 
-// reassignGraph builds a 8-task chainless graph for map tests.
-func reassignGraph() *ExplicitGraph {
-	tasks := make([]Task, 8)
-	for i := range tasks {
-		tasks[i] = Task{Id: TaskId(i), Incoming: []TaskId{ExternalInput}, Outgoing: [][]TaskId{{}}}
-	}
-	return NewExplicitGraph(tasks)
-}
-
-func TestReassignShards(t *testing.T) {
-	g := reassignGraph()
-	m := NewGraphMap(4, g)
-	// Kill shard 2: survivors 0,1,3 become logical 0,1,2.
-	next, err := ReassignShards(g, m, []ShardId{0, 1, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if next.ShardCount() != 3 {
-		t.Fatalf("shard count = %d", next.ShardCount())
-	}
-	logical := map[ShardId]ShardId{0: 0, 1: 1, 3: 2}
-	orphans := 0
-	for _, id := range g.TaskIds() {
-		old := m.Shard(id)
-		got := next.Shard(id)
-		if got < 0 || got >= 3 {
-			t.Fatalf("task %d mapped to shard %d of 3", id, got)
-		}
-		if want, survived := logical[old]; survived {
-			if got != want {
-				t.Errorf("task %d: survivor shard %d renumbered to %d, want %d", id, old, got, want)
-			}
-		} else {
-			orphans++
-		}
-	}
-	if orphans == 0 {
-		t.Error("graph map put no task on the killed shard; test is vacuous")
-	}
-}
-
-// TestReassignShardsLosesHighestRank kills the top shard: no survivor moves,
-// and every orphan lands on a valid logical shard.
-func TestReassignShardsLosesHighestRank(t *testing.T) {
-	g := reassignGraph()
-	m := NewGraphMap(4, g)
-	next, err := ReassignShards(g, m, []ShardId{0, 1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if next.ShardCount() != 3 {
-		t.Fatalf("shard count = %d", next.ShardCount())
-	}
-	orphans := 0
-	for _, id := range g.TaskIds() {
-		old, got := m.Shard(id), next.Shard(id)
-		switch {
-		case old <= 2 && got != old:
-			// Survivors 0..2 keep their own numbers (identity renumbering),
-			// so their ledgers stay valid without translation.
-			t.Errorf("task %d moved from surviving shard %d to %d", id, old, got)
-		case old == 3:
-			orphans++
-			if got < 0 || got > 2 {
-				t.Errorf("orphan task %d on shard %d", id, got)
-			}
-		}
-	}
-	if orphans == 0 {
-		t.Fatal("no task lived on the killed shard; test is vacuous")
-	}
-}
-
-// TestReassignShardsSuccessiveLosses chains two epochs of loss, 4 → 3 → 2,
-// as RunRecover does: the second reassignment starts from the first's map.
-func TestReassignShardsSuccessiveLosses(t *testing.T) {
-	g := reassignGraph()
-	m0 := NewGraphMap(4, g)
-	m1, err := ReassignShards(g, m0, []ShardId{0, 2, 3}) // lose shard 1
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Epoch 2 loses logical shard 2 (originally 3) of the reassigned map.
-	m2, err := ReassignShards(g, m1, []ShardId{0, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m2.ShardCount() != 2 {
-		t.Fatalf("shard count after two losses = %d", m2.ShardCount())
-	}
-	counts := map[ShardId]int{}
-	for _, id := range g.TaskIds() {
-		got := m2.Shard(id)
-		if got != 0 && got != 1 {
-			t.Fatalf("task %d on shard %d of 2", id, got)
-		}
-		counts[got]++
-		// Tasks that survived both epochs on logical shards 0/1 never move.
-		if prev := m1.Shard(id); prev <= 1 && got != prev {
-			t.Errorf("task %d moved from twice-surviving shard %d to %d", id, prev, got)
-		}
-	}
-	if len(g.TaskIds()) != counts[0]+counts[1] {
-		t.Errorf("tasks lost in reassignment: %v", counts)
-	}
-	if counts[0] == 0 || counts[1] == 0 {
-		t.Errorf("round-robin left a survivor idle: %v", counts)
-	}
-}
-
-// TestReassignShardsSingleSurvivor degrades 4 → 1: the survivor owns the
-// entire graph.
-func TestReassignShardsSingleSurvivor(t *testing.T) {
-	g := reassignGraph()
-	m := NewGraphMap(4, g)
-	for _, last := range []ShardId{0, 3} {
-		next, err := ReassignShards(g, m, []ShardId{last})
-		if err != nil {
-			t.Fatalf("survivor %d: %v", last, err)
-		}
-		if next.ShardCount() != 1 {
-			t.Fatalf("survivor %d: shard count = %d", last, next.ShardCount())
-		}
-		for _, id := range g.TaskIds() {
-			if got := next.Shard(id); got != 0 {
-				t.Errorf("survivor %d: task %d on shard %d, want 0", last, id, got)
-			}
-		}
-	}
-}
-
-func TestReassignShardsRejectsBadAlive(t *testing.T) {
-	g := reassignGraph()
-	m := NewGraphMap(4, g)
-	if _, err := ReassignShards(g, m, nil); err == nil {
-		t.Error("empty alive set accepted")
-	}
-	if _, err := ReassignShards(g, m, []ShardId{1, 1}); err == nil {
-		t.Error("duplicate alive shard accepted")
-	}
-}
-
 // roleGraph is a minimal RoledGraph for registration tests.
 type roleGraph struct {
 	*ExplicitGraph

@@ -2,10 +2,11 @@ package core
 
 import "errors"
 
-// Shard rebalancing for elastic membership. Where ReassignShards only ever
-// shrinks a task map around dead shards, RebalanceShards builds the map of
-// an arbitrary membership epoch: members may drop out (drained or dead) AND
-// new members may join, with work actively moved onto the joiners.
+// Shard rebalancing for recovery and elastic membership. RebalanceShards
+// builds the task map of an arbitrary membership epoch: members may drop
+// out (drained or dead) AND new members may join, with work actively moved
+// onto the joiners. A loss-only epoch is the special case with no joiners:
+// the task map shrinks around the dead shards.
 //
 // Member identity convention: members[l] is the physical identity of the
 // epoch's logical rank l. An identity in [0, m.ShardCount()) denotes that

@@ -2,34 +2,77 @@ package core
 
 import "testing"
 
-// TestRebalanceShardsMatchesReassignWithoutJoiners: with every member a
-// shard of the base map, RebalanceShards must be exactly ReassignShards.
-func TestRebalanceShardsMatchesReassignWithoutJoiners(t *testing.T) {
+// reassignGraph builds an 8-task chainless graph for map tests.
+func reassignGraph() *ExplicitGraph {
+	tasks := make([]Task, 8)
+	for i := range tasks {
+		tasks[i] = Task{Id: TaskId(i), Incoming: []TaskId{ExternalInput}, Outgoing: [][]TaskId{{}}}
+	}
+	return NewExplicitGraph(tasks)
+}
+
+// TestRebalanceShardsLoss covers loss-only member sets, where every member
+// is a shard of the base map: each step is one epoch's surviving members,
+// numbered in the previous step's map (the first step's in the 4-shard base
+// map). Every step must keep survivors' own tasks on their new logical rank
+// (so their ledgers stay valid), deal every orphan onto a valid rank, and
+// leave no survivor idle.
+func TestRebalanceShardsLoss(t *testing.T) {
+	cases := []struct {
+		name  string
+		steps [][]ShardId
+	}{
+		{"no-loss", [][]ShardId{{0, 1, 2, 3}}},
+		{"lose-middle", [][]ShardId{{0, 1, 3}}},
+		{"lose-highest", [][]ShardId{{0, 1, 2}}},
+		{"lose-two", [][]ShardId{{0, 2}}},
+		// 4 → 3 → 2: the second epoch loses logical shard 2 (originally 3)
+		// of the first's map.
+		{"successive-losses", [][]ShardId{{0, 2, 3}, {0, 1}}},
+		{"single-survivor-0", [][]ShardId{{0}}},
+		{"single-survivor-2", [][]ShardId{{2}}},
+		{"single-survivor-3", [][]ShardId{{3}}},
+	}
 	g := reassignGraph()
-	m := NewGraphMap(4, g)
-	for _, members := range [][]ShardId{
-		{0, 1, 2, 3}, {0, 1, 3}, {2}, {0, 2},
-	} {
-		got, err := RebalanceShards(g, m, members)
-		if err != nil {
-			t.Fatalf("members %v: %v", members, err)
-		}
-		if got.ShardCount() != len(members) {
-			t.Fatalf("members %v: shard count = %d", members, got.ShardCount())
-		}
-		logical := map[ShardId]ShardId{}
-		for i, s := range members {
-			logical[s] = ShardId(i)
-		}
-		for _, id := range g.TaskIds() {
-			if want, ok := logical[m.Shard(id)]; ok && got.Shard(id) != want {
-				t.Errorf("members %v: survivor task %d on %d, want %d",
-					members, id, got.Shard(id), want)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			prev := TaskMap(NewGraphMap(4, g))
+			for _, members := range tc.steps {
+				next, err := RebalanceShards(g, prev, members)
+				if err != nil {
+					t.Fatalf("members %v: %v", members, err)
+				}
+				if next.ShardCount() != len(members) {
+					t.Fatalf("members %v: shard count = %d", members, next.ShardCount())
+				}
+				logical := map[ShardId]ShardId{}
+				for i, s := range members {
+					logical[s] = ShardId(i)
+				}
+				orphans := 0
+				counts := map[ShardId]int{}
+				for _, id := range g.TaskIds() {
+					got := next.Shard(id)
+					if got < 0 || got >= ShardId(len(members)) {
+						t.Fatalf("members %v: task %d on shard %d", members, id, got)
+					}
+					counts[got]++
+					if want, survived := logical[prev.Shard(id)]; !survived {
+						orphans++
+					} else if got != want {
+						t.Errorf("members %v: task %d moved from surviving shard %d to %d, want %d",
+							members, id, prev.Shard(id), got, want)
+					}
+				}
+				if len(members) < prev.ShardCount() && orphans == 0 {
+					t.Errorf("members %v: no task lived on a lost shard; case is vacuous", members)
+				}
+				if len(counts) != len(members) {
+					t.Errorf("members %v: a survivor was left idle: %v", members, counts)
+				}
+				prev = next
 			}
-			if l := got.Shard(id); l < 0 || l >= ShardId(len(members)) {
-				t.Fatalf("members %v: task %d out of range shard %d", members, id, l)
-			}
-		}
+		})
 	}
 }
 
@@ -157,14 +200,15 @@ func TestRebalanceShardsSuccessiveEpochs(t *testing.T) {
 func TestRebalanceShardsRejectsBadMembers(t *testing.T) {
 	g := reassignGraph()
 	m := NewGraphMap(4, g)
-	if _, err := RebalanceShards(g, m, nil); err == nil {
-		t.Error("empty member set accepted")
-	}
-	if _, err := RebalanceShards(g, m, []ShardId{0, 4, 4}); err == nil {
-		t.Error("duplicate member accepted")
-	}
-	if _, err := RebalanceShards(g, m, []ShardId{0, -1}); err == nil {
-		t.Error("negative member accepted")
+	for _, members := range [][]ShardId{
+		nil,       // empty member set
+		{1, 1},    // duplicate survivor
+		{0, 4, 4}, // duplicate joiner
+		{0, -1},   // negative identity
+	} {
+		if _, err := RebalanceShards(g, m, members); err == nil {
+			t.Errorf("members %v accepted", members)
+		}
 	}
 }
 

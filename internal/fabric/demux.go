@@ -230,7 +230,7 @@ func (v *RunTransport) Ranks() int { return v.d.tr.Ranks() }
 func (v *RunTransport) Send(m Message) error {
 	if v.cancelled.Load() {
 		dropMessage(m)
-		return fmt.Errorf("fabric: run %d: %w", v.id, ErrClosed)
+		return v.closedErr()
 	}
 	m.Run = v.id
 	size := uint64(m.Payload.Size())
@@ -245,7 +245,7 @@ func (v *RunTransport) Send(m Message) error {
 func (v *RunTransport) SendN(ms []Message) error {
 	if v.cancelled.Load() {
 		dropMessages(ms)
-		return fmt.Errorf("fabric: run %d: %w", v.id, ErrClosed)
+		return v.closedErr()
 	}
 	var bytes uint64
 	for i := range ms {
@@ -257,6 +257,16 @@ func (v *RunTransport) SendN(ms []Message) error {
 	}
 	v.account(uint64(len(ms)), bytes)
 	return nil
+}
+
+// closedErr reports a send on a cancelled run. When the shared transport
+// failed, its typed error is the cause and is returned instead of the bare
+// ErrClosed, so a sender racing the teardown reports what the receivers do.
+func (v *RunTransport) closedErr() error {
+	if err := v.d.tr.Err(); err != nil {
+		return err
+	}
+	return fmt.Errorf("fabric: run %d: %w", v.id, ErrClosed)
 }
 
 func (v *RunTransport) account(msgs, bytes uint64) {

@@ -14,18 +14,25 @@ import (
 	"github.com/babelflow/babelflow-go/internal/journal"
 )
 
-// Elastic membership: the epoch protocol generalized from loss-only
-// shrinking (RunRecover) to arbitrary membership change. A Membership
-// registry accumulates join and drain requests; the coordinator fences the
-// running epoch at a journal-consistent point (Fabric.Fence suspends
-// liveness timers, group-commit journals are flushed, the epoch collapses),
-// applies the pending changes in ONE epoch bump, rebalances the task map
-// with core.RebalanceShards, adopts handed-off lineage into the new owners'
-// ledgers, and runs the next epoch. Losses still shrink the membership, but
-// partition hardening distinguishes "partitioned but alive" from "dead":
-// a rank that itself reported a peer loss was alive to report it and is
-// never evicted, so an asymmetric or flapping link costs at most one epoch
-// bump instead of an eviction storm.
+// Epoch-based recovery. RunElastic is the one driver for fault-tolerant
+// runs: a coordinator runs epochs until one completes. Every member keeps a
+// lineage ledger of its completed tasks' serialized outputs across epochs;
+// the next epoch replays recorded outputs instead of re-executing them, so
+// only the undelivered frontier runs again. No checkpointing: correctness
+// rests on the paper's idempotence contract.
+//
+// A Membership registry holds the member set. Over a fixed membership
+// (NewMembership, nobody joins or drains) this is plain peer-loss
+// recovery: a dead member is evicted, core.RebalanceShards deals its tasks
+// round-robin over the survivors (who keep their own) and the next epoch
+// runs. Join and drain requests additionally fence the running epoch at a
+// journal-consistent point (Fabric.Fence suspends liveness timers,
+// group-commit journals are flushed, the epoch collapses), apply in ONE
+// epoch bump, and hand the moved tasks' lineage to their new owners.
+// Partition hardening (classifyDead) distinguishes "partitioned but alive"
+// from "dead": a rank that itself reported a peer loss was alive to report
+// it and is never evicted, so an asymmetric or flapping link costs at most
+// one epoch bump instead of an eviction storm.
 
 // errFenced marks an epoch torn down by a membership fence rather than a
 // failure. Fenced epochs do not consume the retry budget.
@@ -198,22 +205,37 @@ func (m *Membership) evict(id core.ShardId) {
 	m.active = next
 }
 
+// ConnectFunc builds the per-rank transports of one recovery epoch. It is
+// called with the epoch number (1 = the failure-free first attempt) and the
+// number of surviving ranks; it returns one transport per logical rank,
+// all connected to each other (for the wire transport: a fresh mesh whose
+// handshake carries the epoch, so stragglers from a previous epoch are
+// rejected at rendezvous).
+type ConnectFunc func(epoch, ranks int) ([]fabric.Transport, error)
+
+// InjectFunc optionally wraps a rank's transport — the hook the
+// deterministic fault-injection harness (internal/faultinject) plugs into.
+type InjectFunc func(epoch, rank int, tr fabric.Transport) fabric.Transport
+
 // ElasticOptions parameterizes RunElastic.
 type ElasticOptions struct {
-	// Connect builds each epoch's transports (same contract as
-	// RecoverOptions.Connect).
+	// Connect is required: it builds each epoch's transports.
 	Connect ConnectFunc
 	// Inject, when non-nil, wraps each rank's transport (fault injection).
 	Inject InjectFunc
-	// Initial is the dataflow's full set of external inputs.
+	// Initial is the dataflow's full set of external inputs. RunElastic
+	// partitions it per epoch map and clones the payloads per attempt, so
+	// the inputs must be serializable.
 	Initial map[core.TaskId][]core.Payload
-	// Membership is the shared registry join/drain requests flow through.
+	// Membership is required: the shared registry join/drain requests flow
+	// through. A registry nobody joins or drains is a fixed membership.
 	Membership *Membership
-	// MaxFences bounds membership-fence rebuilds (0 selects 32). Fenced
-	// epochs do not consume the retry budget — a retry is a failure, a
-	// fence is a request — but runaway churn must still terminate.
-	MaxFences int
 }
+
+// maxFences bounds membership-fence rebuilds. Fenced epochs do not consume
+// the retry budget — a retry is a failure, a fence is a request — but
+// runaway churn must still terminate.
+const maxFences = 32
 
 // ElasticReport summarizes an elastic run.
 type ElasticReport struct {
@@ -245,11 +267,18 @@ type ElasticReport struct {
 	RecoveryTime time.Duration
 }
 
-// RunElastic executes the dataflow under elastic membership: epochs run
-// until one completes over whatever member set the Membership registry
-// holds, fencing and rebalancing on joins and drains, shrinking on real
-// deaths, and retrying (without eviction) on partitions. See the package
-// comments above and DESIGN.md §16 for the protocol.
+// RunElastic executes the dataflow with replay-based fault tolerance:
+// epochs run until one completes over whatever member set the Membership
+// registry holds, fencing and rebalancing on joins and drains, shrinking
+// on real deaths, and retrying (without eviction) on partitions. See the
+// comments above and DESIGN.md §10 and §16 for the protocol.
+//
+// The controller's retry policy (WithRetry) bounds the number of failed
+// epochs, the backoff between them and each epoch's wall clock. A
+// non-retryable failure (a callback error on a surviving rank) aborts
+// immediately; exhausting the policy returns an error wrapping
+// core.ErrRetriesExhausted; a finished ctx returns one wrapping
+// core.ErrCancelled.
 func (c *Controller) RunElastic(ctx context.Context, eo ElasticOptions) (map[core.TaskId][]core.Payload, ElasticReport, error) {
 	var rep ElasticReport
 	if c.graph == nil {
@@ -269,10 +298,6 @@ func (c *Controller) RunElastic(ctx context.Context, eo ElasticOptions) (map[cor
 	}
 
 	policy := c.opt.Retry.WithDefaults()
-	maxFences := eo.MaxFences
-	if maxFences <= 0 {
-		maxFences = 32
-	}
 	ms := eo.Membership
 
 	// Ledgers and journal stores are keyed by stable member identity and
@@ -545,7 +570,7 @@ func (c *Controller) runElasticEpoch(
 	return nil, lost, false, firstErr
 }
 
-// classifyDead is the partition-hardened loss classification. RunRecover's
+// classifyDead is the partition-hardened loss classification. The naive
 // rule — any reported rank that also errored is dead — evicts the victim of
 // an asymmetric partition: the rank that times out on a silent link fails,
 // cancels, and its closing connections make every peer report it. Here a
@@ -616,6 +641,118 @@ func sumLedgerMap(ledgers map[core.ShardId]*core.Ledger) (replayed, executed int
 		executed += l.Executions()
 	}
 	return replayed, executed
+}
+
+// retryable classifies an epoch failure: transport-level losses, closed
+// mailboxes and attempt timeouts warrant another epoch; anything else (a
+// callback error on a healthy rank) is a real dataflow failure.
+func retryable(err error) bool {
+	return errors.Is(err, fabric.ErrPeerLost) ||
+		errors.Is(err, fabric.ErrClosed) ||
+		errors.Is(err, core.ErrCancelled) ||
+		errors.Is(err, context.DeadlineExceeded)
+}
+
+// closeEpoch tears an epoch's transports down: gracefully (Shutdown, so
+// goodbye frames flow and sockets drain) after a successful epoch, abruptly
+// (Kill/Cancel) after a failed one.
+func closeEpoch(trs []fabric.Transport, graceful bool) {
+	var wg sync.WaitGroup
+	for _, tr := range trs {
+		if tr == nil {
+			continue
+		}
+		wg.Add(1)
+		go func(tr fabric.Transport) {
+			defer wg.Done()
+			if graceful {
+				if s, ok := tr.(interface{ Shutdown(time.Duration) error }); ok {
+					s.Shutdown(5 * time.Second)
+					return
+				}
+			}
+			if k, ok := tr.(interface{ Kill() }); ok {
+				k.Kill()
+				return
+			}
+			tr.Cancel()
+		}(tr)
+	}
+	wg.Wait()
+}
+
+// partitionInitialClone splits the global external inputs by the epoch's
+// task map, cloning every payload so one epoch's consumption (tasks own
+// their inputs) cannot corrupt the next attempt's.
+func partitionInitialClone(tmap core.TaskMap, ranks int, initial map[core.TaskId][]core.Payload) ([]map[core.TaskId][]core.Payload, error) {
+	parts := make([]map[core.TaskId][]core.Payload, ranks)
+	for id, ps := range initial {
+		r := int(tmap.Shard(id))
+		if r < 0 || r >= ranks {
+			return nil, fmt.Errorf("mpi: task %d mapped to shard %d of %d", id, r, ranks)
+		}
+		if parts[r] == nil {
+			parts[r] = make(map[core.TaskId][]core.Payload)
+		}
+		for _, p := range ps {
+			cp, err := p.CloneForWire()
+			if err != nil {
+				return nil, fmt.Errorf("mpi: fault-tolerant runs need serializable external inputs: task %d: %w", id, err)
+			}
+			parts[r][id] = append(parts[r][id], cp)
+		}
+	}
+	return parts, nil
+}
+
+// expectedSinks returns, per root task, how many sink payloads a complete
+// run must produce — the coordinator's completeness check (a killed rank
+// can exit without error but with its sinks missing).
+func expectedSinks(g core.TaskGraph) map[core.TaskId]int {
+	want := make(map[core.TaskId]int)
+	for _, id := range g.TaskIds() {
+		t, _ := g.Task(id)
+		n := 0
+		for _, consumers := range t.Outgoing {
+			if len(consumers) == 0 {
+				n++
+			}
+		}
+		if n > 0 {
+			want[id] = n
+		}
+	}
+	return want
+}
+
+func sinksComplete(want map[core.TaskId]int, got map[core.TaskId][]core.Payload) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for id, n := range want {
+		if len(got[id]) != n {
+			return false
+		}
+	}
+	return true
+}
+
+func mergeResults(per []map[core.TaskId][]core.Payload) map[core.TaskId][]core.Payload {
+	merged := make(map[core.TaskId][]core.Payload)
+	for _, m := range per {
+		for id, ps := range m {
+			merged[id] = append(merged[id], ps...)
+		}
+	}
+	return merged
+}
+
+func releaseResults(m map[core.TaskId][]core.Payload) {
+	for _, ps := range m {
+		for _, p := range ps {
+			p.Release()
+		}
+	}
 }
 
 // RunMemberContext executes one logical rank of an elastic epoch whose

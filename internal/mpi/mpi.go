@@ -86,8 +86,8 @@ type Options struct {
 	// core.ReplayObserver or core.RecoveryObserver additionally receives
 	// fault-tolerance notifications (ledger replays, recovery epochs).
 	Observer core.Observer
-	// Retry bounds fault-tolerant execution (RunRecover): attempt count,
-	// backoff and per-attempt timeout. The zero value selects
+	// Retry bounds fault-tolerant execution (RunElastic): failed-epoch
+	// count, backoff and per-attempt timeout. The zero value selects
 	// core.DefaultRetryPolicy.
 	Retry core.RetryPolicy
 	// Transport, when non-nil, builds the transport Run/RunContext executes
@@ -101,7 +101,7 @@ type Options struct {
 	// their recorded outputs instead of re-executing, so only the
 	// un-journaled frontier runs. Journaling implies fault-tolerant
 	// bookkeeping (sequence-stamped messages, receiver dedup) even outside
-	// RunRecover.
+	// RunElastic.
 	Journal string
 	// JournalSync selects the journal's fsync policy. The zero value
 	// (journal.SyncEveryRecord) makes every recorded task crash-durable;
@@ -473,9 +473,16 @@ func (c *Controller) runAllRanks(ctx context.Context, fab fabric.Transport, pool
 
 // watchContext aborts the run when the context ends. The returned stop
 // function retires the watcher; it must be called before the run's results
-// are returned so a late cancellation cannot fire mid-teardown.
+// are returned so a late cancellation cannot fire mid-teardown. A context
+// that has already ended aborts synchronously: left to the watcher, a run
+// that finishes before the watcher is scheduled would retire it unfired
+// and succeed despite the cancellation.
 func watchContext(ctx context.Context, abort func(error)) (stop func()) {
 	if ctx == nil || ctx.Done() == nil {
+		return func() {}
+	}
+	if ctx.Err() != nil {
+		abort(core.Cancelled(ctx))
 		return func() {}
 	}
 	stopc := make(chan struct{})
@@ -531,17 +538,9 @@ func (c *Controller) RunRank(rank int, tr fabric.Transport, initial map[core.Tas
 	return c.runRankOn(context.Background(), rank, tr, initial, nil, nil)
 }
 
-// RunRankContext is RunRank with cancellation and deadline propagation: a
-// finished context cancels the transport, unwinding this rank (and, over
-// the wire, its peers) with an error wrapping core.ErrCancelled.
-func (c *Controller) RunRankContext(ctx context.Context, rank int, tr fabric.Transport, initial map[core.TaskId][]core.Payload) (map[core.TaskId][]core.Payload, error) {
-	return c.runRankOn(ctx, rank, tr, initial, nil, nil)
-}
-
-// runRankOn is the common single-rank entry: RunRank/RunRankContext pass a
-// nil ledger and map (plain execution over c.tmap); the recovery
-// coordinator passes the rank's persistent lineage ledger and the epoch's
-// reassigned task map.
+// runRankOn is the common single-rank entry: RunRank passes a nil ledger
+// and map (plain execution over c.tmap); the recovery coordinator passes
+// the rank's persistent lineage ledger and the epoch's rebalanced task map.
 func (c *Controller) runRankOn(ctx context.Context, rank int, tr fabric.Transport, initial map[core.TaskId][]core.Payload, led *core.Ledger, tmap core.TaskMap) (map[core.TaskId][]core.Payload, error) {
 	if c.graph == nil {
 		return nil, core.ErrNotInitialized

@@ -31,7 +31,7 @@ func WithObserver(obs core.Observer) Option {
 }
 
 // WithRetry sets the retry policy governing fault-tolerant execution
-// (RunRecover): attempt count, backoff, per-attempt timeout.
+// (RunElastic): failed-epoch count, backoff, per-attempt timeout.
 func WithRetry(p core.RetryPolicy) Option {
 	return optionFunc(func(o *Options) { o.Retry = p })
 }

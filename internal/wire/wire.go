@@ -284,7 +284,7 @@ type Fabric struct {
 	firstErr  error
 	lost      map[int]bool // ranks observed dead before cancellation
 	cancelled atomic.Bool
-	fenced    atomic.Bool // epoch fence open: liveness timeouts suspended
+	fenced    atomic.Bool   // epoch fence open: liveness timeouts suspended
 	done      chan struct{} // closed on Cancel/Shutdown/Kill: stops heartbeats
 	doneOnce  sync.Once
 
@@ -405,7 +405,7 @@ func (f *Fabric) Send(m fabric.Message) error {
 	}
 	if m.To == f.opt.Rank {
 		if err := f.local.Put(m); err != nil {
-			return fmt.Errorf("wire: rank %d: %w", m.To, err)
+			return f.putErr(m.To, err)
 		}
 		return nil
 	}
@@ -418,10 +418,24 @@ func (f *Fabric) Send(m fabric.Message) error {
 		return nil
 	}
 	if err := p.outbox.Put(m); err != nil {
-		return fmt.Errorf("wire: rank %d: %w", m.To, err)
+		return f.putErr(m.To, err)
 	}
 	p.poke()
 	return nil
+}
+
+// putErr reports a refused mailbox put. A put refused because a failure
+// already tore the fabric down returns the recorded cause (a typed
+// ErrPeerLost) rather than the bare ErrClosed it tripped over: the sender
+// races the teardown that fail starts, and whichever error reaches the
+// controller first becomes the rank's error.
+func (f *Fabric) putErr(to int, err error) error {
+	if errors.Is(err, fabric.ErrClosed) {
+		if ferr := f.Err(); ferr != nil {
+			return ferr
+		}
+	}
+	return fmt.Errorf("wire: rank %d: %w", to, err)
 }
 
 const (
@@ -529,7 +543,7 @@ func (f *Fabric) SendN(ms []fabric.Message) error {
 		}
 		if err != nil {
 			releaseAll(ms[j:])
-			return fmt.Errorf("wire: rank %d: %w", ms[i].To, err)
+			return f.putErr(ms[i].To, err)
 		}
 		i = j
 	}
