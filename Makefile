@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: check build vet test race deprecations bench-fastpath bench-wire bench-sched bench-faults bench-journal bench-serve bench-iterate figures smoke-wire smoke-faults smoke-resume smoke-serve smoke-iterate smoke-elastic fuzz-wire perf-smoke stress
+.PHONY: check fmt build vet test race deprecations bench-fastpath bench-wire bench-sched bench-faults bench-journal bench-serve bench-iterate figures smoke-wire smoke-faults smoke-resume smoke-serve smoke-iterate smoke-elastic fuzz-wire perf-smoke stress
 
-## check: the CI gate — vet, the deprecation sweep, build, the full test
+## check: the CI gate — the gofmt check, vet, the deprecation sweep, build, the full test
 ## suite under the race detector, the fault-injection smoke (kill one
 ## peer, recover, verify the sinks against serial), the resume smoke
 ## (kill every rank, restart from the journals, verify the sinks against
@@ -12,13 +12,18 @@ GO ?= go
 ## kill-all/resume cycle mid-iteration) and the elastic smoke (2 real
 ## processes, 2 more joining mid-run, 1 gracefully drained, digests
 ## verified against serial).
-check: vet deprecations build race smoke-faults smoke-resume smoke-serve smoke-iterate smoke-elastic
+check: fmt vet deprecations build race smoke-faults smoke-resume smoke-serve smoke-iterate smoke-elastic
 
 ## deprecations: the API-freshness gate — after the functional-options
 ## migration no deprecated symbol may remain (or be newly introduced).
 deprecations:
 	@! grep -rn "Deprecated:" --include='*.go' . || \
 		(echo "deprecations: deprecated symbols remain (listed above)"; exit 1)
+
+## fmt: the formatting gate — gofmt must have nothing to rewrite.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
+		echo "fmt: gofmt would rewrite:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -147,10 +152,14 @@ stress:
 	GOMAXPROCS=1 $(GO) test -count=50 -run 'TestWire|TestFault|TestResume|TestElastic' ./internal/conformance
 	GOMAXPROCS=2 $(GO) test -count=50 -run 'TestWire|TestFault|TestResume|TestElastic' ./internal/conformance
 
-## fuzz-wire: short fuzz smoke of the wire frame decoder (longer runs:
+## fuzz-wire: short fuzz smoke of the wire frame decoder, the gate's
+## ticket and status bodies and the journal's ledger records (longer runs:
 ## go test -fuzz=FuzzFrameDecode ./internal/wire).
 fuzz-wire:
 	$(GO) test -run='^$$' -fuzz=FuzzFrameDecode -fuzztime=10s ./internal/wire
+	$(GO) test -run='^$$' -fuzz=FuzzTicketDecode -fuzztime=10s ./internal/wire
+	$(GO) test -run='^$$' -fuzz=FuzzStatusDecode -fuzztime=10s ./internal/wire
+	$(GO) test -run='^$$' -fuzz=FuzzLedgerRecord -fuzztime=10s ./internal/journal
 
 ## perf-smoke: the CI perf job — every wire benchmark (all transport
 ## tiers), the shm ring benchmarks again under the race detector, and

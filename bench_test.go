@@ -20,6 +20,7 @@ import (
 	babelflow "github.com/babelflow/babelflow-go"
 	"github.com/babelflow/babelflow-go/internal/data"
 	"github.com/babelflow/babelflow-go/internal/mergetree"
+	"github.com/babelflow/babelflow-go/internal/mpi"
 	"github.com/babelflow/babelflow-go/internal/register"
 	"github.com/babelflow/babelflow-go/internal/render"
 	"github.com/babelflow/babelflow-go/internal/sim"
@@ -213,7 +214,7 @@ func BenchmarkAblation_InMemoryMessages(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				c := babelflow.NewMPI(babelflow.WithAlwaysSerialize(serialize))
+				c := babelflow.NewMPI(mpi.WithAlwaysSerialize(serialize))
 				c.Initialize(graph, babelflow.NewGraphMap(1, graph))
 				cfg.Register(c, graph)
 				initial, _ := cfg.InitialInputs(field, graph)

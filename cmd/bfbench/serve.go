@@ -204,7 +204,7 @@ func rankedRun(sub mpi.Submission, m core.TaskMap, views []fabric.Transport) err
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			results[r], errs[r] = ctrl.RunRank(r, views[r], parts[r])
+			results[r], errs[r] = ctrl.RunRank(context.Background(), r, views[r], parts[r], nil, nil)
 		}(r)
 	}
 	wg.Wait()

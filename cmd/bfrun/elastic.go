@@ -19,14 +19,10 @@
 package main
 
 import (
-	"bufio"
-	"bytes"
 	"context"
 	"fmt"
 	"log"
-	"net"
 	"os"
-	"os/exec"
 	"sort"
 	"strconv"
 	"strings"
@@ -261,7 +257,7 @@ func startEpoch(ctrl *mpi.Controller, wc wireCase, t wire.Ticket, tier wire.Tier
 	ctx, cancel := context.WithCancel(context.Background())
 	run := &epochRun{epoch: t.Epoch, fab: fab, cancel: cancel, done: make(chan epochResult, 1)}
 	go func() {
-		out, err := ctrl.RunMemberContext(ctx, t.Rank, fab, local, tmap, led)
+		out, err := ctrl.RunRank(ctx, t.Rank, fab, local, tmap, led)
 		if err == nil {
 			if serr := fab.Shutdown(30 * time.Second); serr != nil {
 				err = fmt.Errorf("shutdown: %w", serr)
@@ -290,22 +286,7 @@ func runElasticParent(useCase string, ranks, joinN int, joinAfter time.Duration,
 		log.Fatal(err)
 	}
 
-	// Serial reference digests (unpaced — the pace is a worker-side delay).
-	ser := core.NewSerial()
-	if err := ser.Initialize(wc.graph, nil); err != nil {
-		log.Fatal(err)
-	}
-	if err := wc.reg(ser); err != nil {
-		log.Fatal(err)
-	}
-	ref, err := ser.Run(wc.initial)
-	if err != nil {
-		log.Fatal(err)
-	}
-	want := make(map[string]bool)
-	for _, line := range digestLines(ref) {
-		want[line] = true
-	}
+	want := serialDigests(wc) // unpaced: the pace is a worker-side delay
 	// The gate vets joiners by the same fingerprint the workers derive, so
 	// compute it the way they do: graph plus registered callback ids.
 	fpc := mpi.New()
@@ -323,14 +304,6 @@ func runElasticParent(useCase string, ranks, joinN int, joinAfter time.Duration,
 	}
 	defer gate.Close()
 
-	exe, err := os.Executable()
-	if err != nil {
-		log.Fatal(err)
-	}
-	type worker struct {
-		cmd *exec.Cmd
-		out bytes.Buffer
-	}
 	var workers []*worker
 	fork := func() {
 		args := []string{
@@ -345,13 +318,7 @@ func runElasticParent(useCase string, ranks, joinN int, joinAfter time.Duration,
 		if journalDir != "" {
 			args = append(args, "-wire-journal", journalDir)
 		}
-		w := &worker{cmd: exec.Command(exe, args...)}
-		w.cmd.Stdout = &w.out
-		w.cmd.Stderr = os.Stderr
-		if err := w.cmd.Start(); err != nil {
-			log.Fatal("bfrun: fork worker: ", err)
-		}
-		workers = append(workers, w)
+		workers = append(workers, forkWorker(args))
 	}
 
 	start := time.Now()
@@ -514,49 +481,19 @@ func runElasticParent(useCase string, ranks, joinN int, joinAfter time.Duration,
 		gate.SendTicket(m, wire.Ticket{Action: wire.ActionExit})
 	}
 
-	failed := 0
-	got := make(map[string]bool)
-	for i, w := range workers {
-		if err := w.cmd.Wait(); err != nil {
-			fmt.Fprintf(os.Stderr, "bfrun: worker %d exited: %v\n", i, err)
-			failed++
+	failed, got := waitWorkers(workers, func(line string) {
+		if strings.HasPrefix(line, "BFWIRE elastic") {
+			fmt.Println(line)
 		}
-		sc := bufio.NewScanner(&w.out)
-		for sc.Scan() {
-			line := sc.Text()
-			switch {
-			case strings.HasPrefix(line, "BFWIRE sink"):
-				got[line] = true
-			case strings.HasPrefix(line, "BFWIRE elastic"):
-				fmt.Println(line)
-			}
-		}
-	}
+	})
 	elapsed := time.Since(start)
 
-	matches := 0
-	for line := range got {
-		if want[line] {
-			matches++
-		}
-	}
-	ok := failed == 0 && matches == len(want) && len(got) == len(want)
+	matches, match := matchDigests(got, want)
+	ok := failed == 0 && match
 	fmt.Printf("wire-elastic %-10s %d tasks: start=%d join=+%d drain=%d epochs=%d fences=%d %v  sinks=%d/%d match-serial=%v\n",
 		useCase, wc.graph.Size(), ranks, joinN, len(drained), epoch, fences,
 		elapsed.Round(time.Millisecond), matches, len(want), ok)
 	if !ok {
 		os.Exit(1)
 	}
-}
-
-// freeLoopbackAddr reserves an ephemeral loopback port and releases it for
-// the epoch's rank 0 to rebind.
-func freeLoopbackAddr() string {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	ln.Close()
-	return addr
 }

@@ -118,22 +118,24 @@ func isFlagSet(name string) bool {
 	return set
 }
 
-func controller(runtime string, shards int) babelflow.Controller {
-	switch runtime {
+// controller builds the named runtime controller over shards, reporting
+// every executed task to obs when it is not nil.
+func controller(rt string, shards int, obs babelflow.Observer) babelflow.Controller {
+	switch rt {
 	case "serial":
 		return babelflow.NewSerial()
 	case "mpi":
-		return babelflow.NewMPI()
+		return babelflow.NewMPI(babelflow.WithObserver(obs))
 	case "original-mpi":
-		return babelflow.NewMPI(babelflow.WithInline(true))
+		return babelflow.NewMPI(babelflow.WithInline(true), babelflow.WithObserver(obs))
 	case "charm":
-		return babelflow.NewCharm(babelflow.CharmOptions{PEs: shards, LBPeriod: 8})
+		return babelflow.NewCharm(babelflow.CharmOptions{PEs: shards, LBPeriod: 8, Observer: obs})
 	case "legion-spmd":
-		return babelflow.NewLegionSPMD(babelflow.LegionOptions{})
+		return babelflow.NewLegionSPMD(babelflow.LegionOptions{Observer: obs})
 	case "legion-il":
-		return babelflow.NewLegionIndexLaunch(babelflow.LegionOptions{})
+		return babelflow.NewLegionIndexLaunch(babelflow.LegionOptions{Observer: obs})
 	}
-	log.Fatalf("bfrun: unknown runtime %q", runtime)
+	log.Fatalf("bfrun: unknown runtime %q", rt)
 	return nil
 }
 
@@ -148,27 +150,10 @@ var whatIfCores int
 // is on; register goes through it.
 func maybeTrace(rt string, shards int) (*trace.Recorder, babelflow.Controller) {
 	if traceCSV == "" {
-		return nil, controller(rt, shards)
+		return nil, controller(rt, shards, nil)
 	}
 	rec := trace.NewRecorder()
-	var c babelflow.Controller
-	switch rt {
-	case "serial":
-		c = babelflow.NewSerial()
-	case "mpi":
-		c = babelflow.NewMPI(babelflow.WithObserver(rec))
-	case "original-mpi":
-		c = babelflow.NewMPI(babelflow.WithInline(true), babelflow.WithObserver(rec))
-	case "charm":
-		c = babelflow.NewCharm(babelflow.CharmOptions{PEs: shards, LBPeriod: 8, Observer: rec})
-	case "legion-spmd":
-		c = babelflow.NewLegionSPMD(babelflow.LegionOptions{Observer: rec})
-	case "legion-il":
-		c = babelflow.NewLegionIndexLaunch(babelflow.LegionOptions{Observer: rec})
-	default:
-		log.Fatalf("bfrun: unknown runtime %q", rt)
-	}
-	return rec, c
+	return rec, controller(rt, shards, rec)
 }
 
 // writeTrace dumps the recorded spans and prints the trace summary.
@@ -288,7 +273,7 @@ func runRender(rt string, shards, n, blocks int) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	c := controller(rt, shards)
+	c := controller(rt, shards, nil)
 	if err := c.Initialize(graph, babelflow.NewModuloMap(shards, graph.Size())); err != nil {
 		log.Fatal(err)
 	}
@@ -326,7 +311,7 @@ func runRegister(rt string, shards int) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	c := controller(rt, shards)
+	c := controller(rt, shards, nil)
 	if err := c.Initialize(graph, babelflow.NewModuloMap(shards, graph.Size())); err != nil {
 		log.Fatal(err)
 	}
@@ -383,7 +368,7 @@ func runRegisterIter(rt string, shards int) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	c := controller(rt, shards)
+	c := controller(rt, shards, nil)
 	if err := c.Initialize(ig, babelflow.NewIterativeMap(shards, ig)); err != nil {
 		log.Fatal(err)
 	}

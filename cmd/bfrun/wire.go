@@ -16,6 +16,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"fmt"
 	"log"
@@ -186,7 +187,7 @@ func runWireWorker(useCase string, rank, ranks int, addr, tierName string, n, bl
 		})
 	}
 	start := time.Now()
-	out, err := ctrl.RunRank(rank, tr, local)
+	out, err := ctrl.RunRank(context.Background(), rank, tr, local, nil, nil)
 	if journalDir != "" {
 		// Journal accounting flows to the parent whether the run survived or
 		// crashed — the crash line is what a later -resume is measured by.
@@ -253,39 +254,8 @@ func runWireParent(useCase, rt string, ranks, n, blocks int, tierName, journalDi
 		log.Fatal(err)
 	}
 
-	// Serial reference digests.
-	ser := core.NewSerial()
-	if err := ser.Initialize(wc.graph, nil); err != nil {
-		log.Fatal(err)
-	}
-	if err := wc.reg(ser); err != nil {
-		log.Fatal(err)
-	}
-	ref, err := ser.Run(wc.initial)
-	if err != nil {
-		log.Fatal(err)
-	}
-	want := make(map[string]bool)
-	for _, line := range digestLines(ref) {
-		want[line] = true
-	}
-
-	// Rendezvous address: bind an ephemeral port, release it to rank 0.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	ln.Close()
-
-	exe, err := os.Executable()
-	if err != nil {
-		log.Fatal(err)
-	}
-	type worker struct {
-		cmd *exec.Cmd
-		out bytes.Buffer
-	}
+	want := serialDigests(wc)
+	addr := freeLoopbackAddr()
 	workers := make([]*worker, ranks)
 	start := time.Now()
 	for r := 0; r < ranks; r++ {
@@ -304,43 +274,25 @@ func runWireParent(useCase, rt string, ranks, n, blocks int, tierName, journalDi
 		if killAll >= 0 {
 			args = append(args, "-wire-kill-after", strconv.Itoa(killAll))
 		}
-		w := &worker{cmd: exec.Command(exe, args...)}
-		w.cmd.Stdout = &w.out
-		w.cmd.Stderr = os.Stderr
-		if err := w.cmd.Start(); err != nil {
-			log.Fatalf("bfrun: starting rank %d: %v", r, err)
-		}
-		workers[r] = w
+		workers[r] = forkWorker(args)
 	}
-	failed := 0
-	got := make(map[string]bool)
 	var js struct{ restored, replayed, executed, storeErrs int }
-	for r, w := range workers {
-		if err := w.cmd.Wait(); err != nil {
-			fmt.Fprintf(os.Stderr, "bfrun: rank %d exited: %v\n", r, err)
-			failed++
-		}
-		sc := bufio.NewScanner(&w.out)
-		for sc.Scan() {
-			line := sc.Text()
-			switch {
-			case strings.HasPrefix(line, "BFWIRE sink"):
-				got[line] = true
-			case strings.HasPrefix(line, "BFWIRE done"):
-				fmt.Println(line)
-			case strings.HasPrefix(line, "BFWIRE journal"):
-				var rk, re, rp, ex, se int
-				if _, err := fmt.Sscanf(line, "BFWIRE journal rank=%d restored=%d replayed=%d executed=%d store_errors=%d",
-					&rk, &re, &rp, &ex, &se); err == nil {
-					js.restored += re
-					js.replayed += rp
-					js.executed += ex
-					js.storeErrs += se
-				}
-				fmt.Println(line)
+	failed, got := waitWorkers(workers, func(line string) {
+		switch {
+		case strings.HasPrefix(line, "BFWIRE done"):
+			fmt.Println(line)
+		case strings.HasPrefix(line, "BFWIRE journal"):
+			var rk, re, rp, ex, se int
+			if _, err := fmt.Sscanf(line, "BFWIRE journal rank=%d restored=%d replayed=%d executed=%d store_errors=%d",
+				&rk, &re, &rp, &ex, &se); err == nil {
+				js.restored += re
+				js.replayed += rp
+				js.executed += ex
+				js.storeErrs += se
 			}
+			fmt.Println(line)
 		}
-	}
+	})
 	elapsed := time.Since(start)
 
 	if killAll >= 0 {
@@ -355,13 +307,8 @@ func runWireParent(useCase, rt string, ranks, n, blocks int, tierName, journalDi
 		return
 	}
 
-	matches := 0
-	for line := range got {
-		if want[line] {
-			matches++
-		}
-	}
-	ok := failed == 0 && matches == len(want) && len(got) == len(want)
+	matches, match := matchDigests(got, want)
+	ok := failed == 0 && match
 	if resume {
 		// A restart must prove it resumed rather than recomputed: journals
 		// carried completed tasks in, every one of them replayed, and
@@ -378,4 +325,92 @@ func runWireParent(useCase, rt string, ranks, n, blocks int, tierName, journalDi
 	if !ok {
 		os.Exit(1)
 	}
+}
+
+// serialDigests runs the case on the serial reference controller and
+// returns the set of its sink digest lines — what the workers' combined
+// output must reproduce.
+func serialDigests(wc wireCase) map[string]bool {
+	ser := core.NewSerial()
+	if err := ser.Initialize(wc.graph, nil); err != nil {
+		log.Fatal(err)
+	}
+	if err := wc.reg(ser); err != nil {
+		log.Fatal(err)
+	}
+	ref, err := ser.Run(wc.initial)
+	if err != nil {
+		log.Fatal(err)
+	}
+	want := make(map[string]bool)
+	for _, line := range digestLines(ref) {
+		want[line] = true
+	}
+	return want
+}
+
+// freeLoopbackAddr reserves an ephemeral loopback port and releases it for
+// a run's rank 0 to rebind as the rendezvous address.
+func freeLoopbackAddr() string {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		log.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	return addr
+}
+
+// worker is one forked bfrun process and its captured standard output.
+type worker struct {
+	cmd *exec.Cmd
+	out bytes.Buffer
+}
+
+// forkWorker starts this binary again with args, capturing its stdout.
+func forkWorker(args []string) *worker {
+	exe, err := os.Executable()
+	if err != nil {
+		log.Fatal(err)
+	}
+	w := &worker{cmd: exec.Command(exe, args...)}
+	w.cmd.Stdout = &w.out
+	w.cmd.Stderr = os.Stderr
+	if err := w.cmd.Start(); err != nil {
+		log.Fatal("bfrun: fork worker: ", err)
+	}
+	return w
+}
+
+// waitWorkers waits for every worker and scans its output: sink digest
+// lines are collected into got, every other line goes to onLine. failed
+// counts the workers that exited with an error.
+func waitWorkers(workers []*worker, onLine func(line string)) (failed int, got map[string]bool) {
+	got = make(map[string]bool)
+	for i, w := range workers {
+		if err := w.cmd.Wait(); err != nil {
+			fmt.Fprintf(os.Stderr, "bfrun: worker %d exited: %v\n", i, err)
+			failed++
+		}
+		sc := bufio.NewScanner(&w.out)
+		for sc.Scan() {
+			if line := sc.Text(); strings.HasPrefix(line, "BFWIRE sink") {
+				got[line] = true
+			} else {
+				onLine(line)
+			}
+		}
+	}
+	return failed, got
+}
+
+// matchDigests counts the collected sink digests that the serial reference
+// also produced; all reports that the two sets are equal.
+func matchDigests(got, want map[string]bool) (matches int, all bool) {
+	for line := range got {
+		if want[line] {
+			matches++
+		}
+	}
+	return matches, matches == len(want) && len(got) == len(want)
 }

@@ -2,6 +2,7 @@ package conformance
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -57,7 +58,7 @@ func warmMeshRun(g core.TaskGraph, m core.TaskMap, cb core.Callback, initial map
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			results[r], errs[r] = ctrl.RunRank(r, views[r], parts[r])
+			results[r], errs[r] = ctrl.RunRank(context.Background(), r, views[r], parts[r], nil, nil)
 		}(r)
 	}
 	wg.Wait()

@@ -71,7 +71,7 @@ func journaledWireRunReg(t *testing.T, g core.TaskGraph, m core.TaskMap, reg fun
 			if inject != nil {
 				tr = inject(r, tr)
 			}
-			results[r], errs[r] = ctrls[r].RunRank(r, tr, parts[r])
+			results[r], errs[r] = ctrls[r].RunRank(context.Background(), r, tr, parts[r], nil, nil)
 			if errs[r] == nil {
 				errs[r] = fabrics[r].Shutdown(30 * time.Second)
 			}

@@ -2,6 +2,7 @@ package conformance
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -115,7 +116,7 @@ func runOverWireReg(t *testing.T, g core.TaskGraph, m core.TaskMap, reg func(cor
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			results[r], errs[r] = ctrl.RunRank(r, fabrics[r], parts[r])
+			results[r], errs[r] = ctrl.RunRank(context.Background(), r, fabrics[r], parts[r], nil, nil)
 			if errs[r] == nil {
 				errs[r] = fabrics[r].Shutdown(30 * time.Second)
 			}
@@ -292,7 +293,7 @@ func TestWireKilledRankFailsTyped(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			_, errs[r] = ctrl.RunRank(r, fabrics[r], parts[r])
+			_, errs[r] = ctrl.RunRank(context.Background(), r, fabrics[r], parts[r], nil, nil)
 		}(r)
 	}
 	go func() { wg.Wait(); close(done) }()

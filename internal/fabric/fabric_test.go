@@ -93,39 +93,6 @@ func TestStatsCountMessagesAndBytes(t *testing.T) {
 	}
 }
 
-func TestBlockingSendRendezvous(t *testing.T) {
-	f := NewBlocking(2)
-	var sendDone, recvStarted sync.WaitGroup
-	sendDone.Add(1)
-	recvStarted.Add(1)
-	sent := false
-	var mu sync.Mutex
-	go func() {
-		defer sendDone.Done()
-		f.Send(Message{From: 0, To: 1, Src: 1})
-		mu.Lock()
-		sent = true
-		mu.Unlock()
-	}()
-	time.Sleep(20 * time.Millisecond)
-	mu.Lock()
-	if sent {
-		mu.Unlock()
-		t.Fatal("blocking send completed before receive")
-	}
-	mu.Unlock()
-	if _, ok := f.Recv(1); !ok {
-		t.Fatal("Recv failed")
-	}
-	sendDone.Wait()
-	mu.Lock()
-	defer mu.Unlock()
-	if !sent {
-		t.Error("send did not complete after receive")
-	}
-	recvStarted.Done()
-}
-
 func TestConcurrentSendersAllDelivered(t *testing.T) {
 	f := New(4)
 	const perSender = 200
@@ -235,24 +202,6 @@ func TestSendCancelledFabricErrClosed(t *testing.T) {
 	}
 }
 
-// TestBlockingSendCancelledDoesNotHang: a rendezvous send racing a Cancel
-// must not deadlock — either the message is dropped with ErrClosed before
-// the wait, or the cancel releases the blocked sender.
-func TestBlockingSendCancelledDoesNotHang(t *testing.T) {
-	f := NewBlocking(2)
-	done := make(chan error, 1)
-	go func() {
-		done <- f.Send(Message{From: 0, To: 1})
-	}()
-	time.Sleep(10 * time.Millisecond)
-	f.Cancel()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("blocking send hung across Cancel")
-	}
-}
-
 // serialLoop is a Serializable test object.
 type serialLoop struct{}
 
@@ -322,32 +271,53 @@ func TestPutNGetBatchFIFO(t *testing.T) {
 	}
 }
 
+// TestSendNDeliversAndCounts: SendN delivers every message, each
+// destination observes its messages in batch order (also when the batch
+// alternates destinations, so no run of one destination is longer than a
+// message), and only inter-rank messages count as traffic.
 func TestSendNDeliversAndCounts(t *testing.T) {
-	f := New(3)
-	ms := []Message{
-		{From: 0, To: 1, Src: 1, Payload: core.Buffer(make([]byte, 10))},
-		{From: 0, To: 1, Src: 2, Payload: core.Buffer(make([]byte, 20))},
-		{From: 0, To: 2, Src: 3, Payload: core.Buffer(make([]byte, 30))},
-		{From: 0, To: 0, Src: 4, Payload: core.Buffer(make([]byte, 40))}, // self-send: not traffic
-	}
-	if err := f.SendN(ms); err != nil {
-		t.Fatal(err)
-	}
-	for i, want := range []core.TaskId{1, 2} {
-		m, ok := f.TryRecv(1)
-		if !ok || m.Src != want {
-			t.Fatalf("rank 1 message %d = %v, %v", i, m, ok)
+	var alternating []Message
+	want := map[int][]core.TaskId{}
+	for i := 0; i < 20; i++ {
+		for _, to := range []int{1, 2} {
+			alternating = append(alternating, Message{From: 0, To: to, Src: core.TaskId(i), Payload: core.Buffer(make([]byte, 1))})
+			want[to] = append(want[to], core.TaskId(i))
 		}
 	}
-	if m, ok := f.TryRecv(2); !ok || m.Src != 3 {
-		t.Fatalf("rank 2 = %v, %v", m, ok)
+	cases := []struct {
+		name  string
+		batch []Message
+		want  map[int][]core.TaskId
+		stats Stats
+	}{
+		{"runs", []Message{
+			{From: 0, To: 1, Src: 1, Payload: core.Buffer(make([]byte, 10))},
+			{From: 0, To: 1, Src: 2, Payload: core.Buffer(make([]byte, 20))},
+			{From: 0, To: 2, Src: 3, Payload: core.Buffer(make([]byte, 30))},
+			{From: 0, To: 0, Src: 4, Payload: core.Buffer(make([]byte, 40))}, // self-send: not traffic
+		}, map[int][]core.TaskId{0: {4}, 1: {1, 2}, 2: {3}}, Stats{Messages: 3, Bytes: 60}},
+		{"alternating", alternating, want, Stats{Messages: 40, Bytes: 40}},
 	}
-	if m, ok := f.TryRecv(0); !ok || m.Src != 4 {
-		t.Fatalf("rank 0 = %v, %v", m, ok)
-	}
-	s := f.Snapshot()
-	if s.Messages != 3 || s.Bytes != 60 {
-		t.Errorf("stats = %+v, want 3 messages / 60 bytes", s)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			f := New(3)
+			if err := f.SendN(tc.batch); err != nil {
+				t.Fatal(err)
+			}
+			for rank, srcs := range tc.want {
+				for i, src := range srcs {
+					if m, ok := f.TryRecv(rank); !ok || m.Src != src {
+						t.Fatalf("rank %d message %d = %v, %v, want Src=%d", rank, i, m, ok, src)
+					}
+				}
+				if m, ok := f.TryRecv(rank); ok {
+					t.Fatalf("rank %d: unexpected extra message %v", rank, m)
+				}
+			}
+			if s := f.Snapshot(); s != tc.stats {
+				t.Errorf("stats = %+v, want %+v", s, tc.stats)
+			}
+		})
 	}
 }
 
@@ -381,103 +351,6 @@ func TestRecvBatchBlocksThenDrains(t *testing.T) {
 	f.Close(0)
 	if n, ok := f.RecvBatch(0, dst); ok || n != 0 {
 		t.Errorf("RecvBatch after close+drain = %d, %v", n, ok)
-	}
-}
-
-func TestBlockingSendNRendezvous(t *testing.T) {
-	f := NewBlocking(2)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		f.SendN([]Message{{From: 0, To: 1, Src: 1}, {From: 0, To: 1, Src: 2}})
-	}()
-	time.Sleep(10 * time.Millisecond)
-	select {
-	case <-done:
-		t.Fatal("blocking SendN completed before receive")
-	default:
-	}
-	if m, ok := f.Recv(1); !ok || m.Src != 1 {
-		t.Fatalf("Recv = %v, %v", m, ok)
-	}
-	if m, ok := f.Recv(1); !ok || m.Src != 2 {
-		t.Fatalf("Recv = %v, %v", m, ok)
-	}
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("blocking SendN did not complete after receives")
-	}
-}
-
-// TestBlockingSendNPerDestinationFIFO locks in the ordering contract the
-// TCP transport must reproduce: a blocking SendN interleaving two
-// destinations performs one rendezvous per inter-rank message, and each
-// destination observes its messages in batch order.
-func TestBlockingSendNPerDestinationFIFO(t *testing.T) {
-	f := NewBlocking(3)
-	const perDest = 20
-	var ms []Message
-	for i := 0; i < perDest; i++ {
-		ms = append(ms,
-			Message{From: 0, To: 1, Src: core.TaskId(i)},
-			Message{From: 0, To: 2, Src: core.TaskId(i)})
-	}
-	done := make(chan error, 1)
-	go func() { done <- f.SendN(ms) }()
-
-	var wg sync.WaitGroup
-	for _, rank := range []int{1, 2} {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			for i := 0; i < perDest; i++ {
-				m, ok := f.Recv(rank)
-				if !ok {
-					t.Errorf("rank %d: mailbox closed at %d", rank, i)
-					return
-				}
-				if m.Src != core.TaskId(i) {
-					t.Errorf("rank %d: message %d out of order: src=%d", rank, i, m.Src)
-					return
-				}
-			}
-		}(rank)
-	}
-	wg.Wait()
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestBlockingSendNSelfSendNoRendezvous: self-sends are in-memory hand-offs
-// even in blocking mode — a batch of them completes without any concurrent
-// receiver.
-func TestBlockingSendNSelfSendNoRendezvous(t *testing.T) {
-	f := NewBlocking(2)
-	ms := []Message{
-		{From: 0, To: 0, Src: 1},
-		{From: 0, To: 0, Src: 2},
-		{From: 0, To: 0, Src: 3},
-	}
-	done := make(chan error, 1)
-	go func() { done <- f.SendN(ms) }()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("blocking self-send batch rendezvoused: SendN did not return without a receiver")
-	}
-	for _, want := range []core.TaskId{1, 2, 3} {
-		if m, ok := f.TryRecv(0); !ok || m.Src != want {
-			t.Fatalf("self-send delivery = %v, %v, want Src=%d", m, ok, want)
-		}
-	}
-	// Self-sends are not traffic.
-	if s := f.Snapshot(); s.Messages != 0 {
-		t.Errorf("self-sends counted as traffic: %+v", s)
 	}
 }
 

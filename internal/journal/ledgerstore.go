@@ -54,20 +54,7 @@ func OpenLedgerStore(dir string, opt Options) (*LedgerStore, error) {
 // Append journals the task's serialized output slots and indexes the record.
 // Durability follows the log's sync policy. The store does not retain outs.
 func (s *LedgerStore) Append(id core.TaskId, outs [][]byte) error {
-	n := 12 // task id + slot count
-	for _, o := range outs {
-		n += 4 + len(o)
-	}
-	body := make([]byte, n)
-	binary.LittleEndian.PutUint64(body[0:8], uint64(id))
-	binary.LittleEndian.PutUint32(body[8:12], uint32(len(outs)))
-	off := 12
-	for _, o := range outs {
-		binary.LittleEndian.PutUint32(body[off:off+4], uint32(len(o)))
-		off += 4
-		copy(body[off:], o)
-		off += len(o)
-	}
+	body := encodeRecord(id, outs)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ref, err := s.log.Append(body)
@@ -147,6 +134,26 @@ func (s *LedgerStore) Close() error { return s.log.Close() }
 
 // Stats returns the underlying log's counters.
 func (s *LedgerStore) Stats() Stats { return s.log.Stats() }
+
+// encodeRecord lays out a ledger record body: the task id, the slot count,
+// then each slot as a u32 length and its bytes.
+func encodeRecord(id core.TaskId, outs [][]byte) []byte {
+	n := 12 // task id + slot count
+	for _, o := range outs {
+		n += 4 + len(o)
+	}
+	body := make([]byte, n)
+	binary.LittleEndian.PutUint64(body[0:8], uint64(id))
+	binary.LittleEndian.PutUint32(body[8:12], uint32(len(outs)))
+	off := 12
+	for _, o := range outs {
+		binary.LittleEndian.PutUint32(body[off:off+4], uint32(len(o)))
+		off += 4
+		copy(body[off:], o)
+		off += len(o)
+	}
+	return body
+}
 
 // decodeTaskId extracts the task id of a record body without materializing
 // the slots, validating the full layout so truncated bodies are rejected.

@@ -518,7 +518,7 @@ func (c *Controller) runElasticEpoch(
 		wg.Add(1)
 		go func(l int) {
 			defer wg.Done()
-			results[l], errs[l] = c.runRankOn(ectx, l, wrapped[l], parts[l], ledgers[members[l]], tmap)
+			results[l], errs[l] = c.RunRank(ectx, l, wrapped[l], parts[l], tmap, ledgers[members[l]])
 		}(l)
 	}
 	wg.Wait()
@@ -753,17 +753,6 @@ func releaseResults(m map[core.TaskId][]core.Payload) {
 			p.Release()
 		}
 	}
-}
-
-// RunMemberContext executes one logical rank of an elastic epoch whose
-// peers live in other OS processes: the multi-process counterpart of the
-// per-rank loop inside RunElastic. rank is the epoch's logical rank on the
-// transport, tmap the epoch task map (core.RebalanceShards over the
-// coordinator's member table), and led the member's lineage ledger — tasks
-// already recorded there replay instead of re-executing, exactly as in a
-// recovery epoch. A nil ledger runs the epoch without lineage.
-func (c *Controller) RunMemberContext(ctx context.Context, rank int, tr fabric.Transport, initial map[core.TaskId][]core.Payload, tmap core.TaskMap, led *core.Ledger) (map[core.TaskId][]core.Payload, error) {
-	return c.runRankOn(ctx, rank, tr, initial, led, tmap)
 }
 
 // OpenMemberLedger opens the journal-backed lineage ledger of a stable

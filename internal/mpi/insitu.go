@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"github.com/babelflow/babelflow-go/internal/core"
-	"github.com/babelflow/babelflow-go/internal/fabric"
 )
 
 // Group is the in-situ coupling mode of the MPI controller (§III of the
@@ -18,12 +17,10 @@ import (
 // application's per-rank control flow.
 type Group struct {
 	ctrl *Controller
-	fab  fabric.Transport
+	env  *runEnv // one run spanning every shard: an abort reaches them all
 
 	mu        sync.Mutex
-	firstErr  error
 	started   map[int]bool
-	pool      *fabric.Pool
 	completed int
 }
 
@@ -34,13 +31,11 @@ func NewGroup(g core.TaskGraph, m core.TaskMap, opts ...Option) (*Group, error) 
 	if err := c.Initialize(g, m); err != nil {
 		return nil, err
 	}
-	var fab fabric.Transport
-	if c.opt.Blocking {
-		fab = fabric.NewBlocking(m.ShardCount())
-	} else {
-		fab = fabric.New(m.ShardCount())
-	}
-	return &Group{ctrl: c, fab: fab, started: make(map[int]bool)}, nil
+	// All shards dispatch into one executor, so an idle rank's worker can
+	// steal a loaded rank's ready tasks.
+	ranks := m.ShardCount()
+	pool := newPool(&c.opt, ranks, -1, g.Size())
+	return &Group{ctrl: c, env: newRunEnv(m, c.opt.transport(ranks), pool, nil), started: make(map[int]bool)}, nil
 }
 
 // RegisterCallback binds a task type's implementation for every shard of
@@ -50,33 +45,18 @@ func (gr *Group) RegisterCallback(cb core.CallbackId, fn core.Callback) error {
 }
 
 // Ranks returns the number of shards of the group.
-func (gr *Group) Ranks() int { return gr.fab.Ranks() }
+func (gr *Group) Ranks() int { return gr.env.fab.Ranks() }
 
 // Shard returns the per-rank handle.
 func (gr *Group) Shard(rank int) (*Shard, error) {
-	if rank < 0 || rank >= gr.fab.Ranks() {
+	if rank < 0 || rank >= gr.Ranks() {
 		return nil, fmt.Errorf("mpi: group has no rank %d", rank)
 	}
 	return &Shard{group: gr, rank: rank}, nil
 }
 
-// abort records the first failure and cancels the fabric so every shard
-// unwinds.
-func (gr *Group) abort(err error) {
-	gr.mu.Lock()
-	if gr.firstErr == nil {
-		gr.firstErr = err
-	}
-	gr.mu.Unlock()
-	gr.fab.Cancel()
-}
-
 // Err returns the first error any shard hit.
-func (gr *Group) Err() error {
-	gr.mu.Lock()
-	defer gr.mu.Unlock()
-	return gr.firstErr
-}
+func (gr *Group) Err() error { return gr.env.firstErr() }
 
 // Shard is one rank's view of an in-situ dataflow execution.
 type Shard struct {
@@ -97,8 +77,8 @@ func (s *Shard) LocalTasks() ([]core.Task, error) {
 // fabric, and returns the sink outputs produced by tasks of this rank. It
 // blocks until the local sub-graph completes (or any shard fails) and must
 // be called exactly once per rank, typically concurrently across ranks —
-// the group's shared work-stealing executor starts with the first Run and
-// is released when the last rank's Run returns.
+// the group's shared work-stealing executor starts with NewGroup and is
+// released when the last rank's Run returns.
 func (s *Shard) Run(initial map[core.TaskId][]core.Payload) (map[core.TaskId][]core.Payload, error) {
 	return s.RunContext(context.Background(), initial)
 }
@@ -114,53 +94,25 @@ func (s *Shard) RunContext(ctx context.Context, initial map[core.TaskId][]core.P
 		return nil, fmt.Errorf("mpi: rank %d already ran", s.rank)
 	}
 	gr.started[s.rank] = true
-	// All shards dispatch into one executor, so an idle rank's worker can
-	// steal a loaded rank's ready tasks (Inline mode needs none).
-	if gr.pool == nil && !gr.ctrl.opt.Inline {
-		gr.pool = gr.ctrl.newPool(gr.fab.Ranks())
-	}
-	pool := gr.pool
 	gr.mu.Unlock()
 	defer func() {
+		// The last shard to finish releases the shared executor.
 		gr.mu.Lock()
 		gr.completed++
-		if gr.completed == gr.fab.Ranks() && gr.pool != nil {
-			done := gr.pool
-			gr.pool = nil
-			gr.mu.Unlock()
-			done.Close()
-			return
-		}
+		last := gr.completed == gr.Ranks()
 		gr.mu.Unlock()
+		if last && gr.env.pool != nil {
+			gr.env.pool.Close()
+		}
 	}()
 
 	if err := gr.ctrl.reg.Covers(gr.ctrl.graph); err != nil {
-		gr.abort(err)
+		gr.env.abort(err)
 		return nil, err
 	}
 	if err := checkLocalInitial(gr.ctrl.graph, gr.ctrl.tmap, s.rank, initial); err != nil {
-		gr.abort(err)
+		gr.env.abort(err)
 		return nil, err
 	}
-
-	stop := watchContext(ctx, gr.abort)
-	defer stop()
-
-	results := make(map[core.TaskId][]core.Payload)
-	var resMu sync.Mutex
-	env := &runEnv{
-		tmap:    gr.ctrl.tmap,
-		fab:     gr.fab,
-		pool:    pool,
-		abort:   gr.abort,
-		results: results,
-		resMu:   &resMu,
-	}
-	if err := gr.ctrl.runRank(s.rank, env, initial); err != nil {
-		gr.abort(err)
-	}
-	if err := gr.Err(); err != nil {
-		return nil, err
-	}
-	return results, nil
+	return gr.ctrl.run(ctx, gr.env, s.rank, s.rank+1, initial)
 }

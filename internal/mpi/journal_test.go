@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -140,7 +141,7 @@ func TestJournaledRunRankResumes(t *testing.T) {
 			wg.Add(1)
 			go func(r int) {
 				defer wg.Done()
-				results[r], errs[r] = c.RunRank(r, fab, parts[r])
+				results[r], errs[r] = c.RunRank(context.Background(), r, fab, parts[r], nil, nil)
 			}(r)
 		}
 		wg.Wait()

@@ -69,14 +69,6 @@ type Options struct {
 	// Inline executes tasks inside the controller loop instead of on the
 	// pool — the single-threaded execution style of the hand-tuned baseline.
 	Inline bool
-	// Blocking switches the fabric to rendezvous sends, modeling blocking
-	// MPI_Send of large (rendezvous-protocol) messages. Like real
-	// unbuffered blocking sends, it can deadlock on dataflows where two
-	// ranks send to each other simultaneously; the safe single-threaded
-	// "Original MPI" baseline of Fig. 6 uses Inline with asynchronous
-	// sends, which removes compute/communication overlap (the effect the
-	// paper attributes the performance gap to) without the deadlock.
-	Blocking bool
 	// AlwaysSerialize disables the in-memory message optimization, forcing
 	// every payload through serialization (ablation).
 	AlwaysSerialize bool
@@ -281,9 +273,6 @@ func New(opts ...Option) *Controller {
 // internal seam the service uses to stamp per-run controllers from its
 // option template.
 func newFromOptions(opt Options) *Controller {
-	if opt.Workers <= 0 {
-		opt.Workers = runtime.GOMAXPROCS(0)
-	}
 	c := &Controller{opt: opt, reg: core.NewRegistry()}
 	if so, ok := opt.Observer.(core.SchedObserver); ok {
 		c.schedObs = so
@@ -336,28 +325,43 @@ func (c *Controller) RegisterCallback(cb core.CallbackId, fn core.Callback) erro
 // Stats returns the inter-rank traffic of the last Run.
 func (c *Controller) Stats() fabric.Stats { return c.lastStats }
 
-// budget returns the worker count for a run over the given rank count,
-// bounded by the number of tasks that can ever be in flight.
-func (c *Controller) budget(ranks int) int {
-	n := c.opt.Workers
-	if size := c.graph.Size(); n > size {
-		n = size
+// transport builds the transport of an in-process run over ranks: the
+// WithTransport factory's, otherwise a fresh in-memory fabric.
+func (o *Options) transport(ranks int) fabric.Transport {
+	if o.Transport != nil {
+		return o.Transport(ranks)
 	}
-	if n < 1 {
-		n = 1
-	}
-	if c.opt.NoSteal && n < ranks {
-		// Without stealing every rank needs a homed worker of its own.
-		n = ranks
-	}
-	return n
+	return fabric.New(ranks)
 }
 
-// newPool builds the shared work-stealing executor for a run over ranks.
-func (c *Controller) newPool(ranks int) *fabric.Pool {
-	n := c.budget(ranks)
-	return fabric.NewPool(ranks, fabric.RoundRobinHomes(n, ranks),
-		fabric.PoolOptions{FIFO: c.opt.FIFO, NoSteal: c.opt.NoSteal})
+// newPool builds the work-stealing executor a run over ranks dispatches
+// onto, or nil for Inline execution. The worker budget (GOMAXPROCS when
+// unset) is capped at maxTasks, the tasks the pool can ever run, but never
+// below one. A single-rank run (home >= 0) homes every worker on its rank,
+// whose peers' deques stay empty; otherwise workers home round-robin over
+// the ranks, and without stealing every rank needs a worker of its own.
+func newPool(opt *Options, ranks, home, maxTasks int) *fabric.Pool {
+	if opt.Inline {
+		return nil
+	}
+	n := opt.Workers
+	if n <= 0 {
+		n = runtime.GOMAXPROCS(0)
+	}
+	n = max(min(n, maxTasks), 1)
+	var workers []int
+	if home >= 0 {
+		workers = make([]int, n)
+		for i := range workers {
+			workers[i] = home
+		}
+	} else {
+		if opt.NoSteal {
+			n = max(n, ranks)
+		}
+		workers = fabric.RoundRobinHomes(n, ranks)
+	}
+	return fabric.NewPool(ranks, workers, fabric.PoolOptions{FIFO: opt.FIFO, NoSteal: opt.NoSteal})
 }
 
 // Run implements core.Controller.
@@ -395,80 +399,40 @@ func (c *Controller) RunContext(ctx context.Context, initial map[core.TaskId][]c
 		defer closeLeds()
 	}
 
-	var fab fabric.Transport
-	switch {
-	case c.opt.Transport != nil:
-		fab = c.opt.Transport(ranks)
-	case c.opt.Blocking:
-		fab = fabric.NewBlocking(ranks)
-	default:
-		fab = fabric.New(ranks)
-	}
-	var pool *fabric.Pool
-	if !c.opt.Inline {
-		pool = c.newPool(ranks)
+	fab := c.opt.transport(ranks)
+	pool := newPool(&c.opt, ranks, -1, c.graph.Size())
+	if pool != nil {
 		defer pool.Close()
 	}
-
-	results, err := c.runAllRanks(ctx, fab, pool, leds, initial)
+	results, err := c.run(ctx, newRunEnv(c.tmap, fab, pool, leds), 0, ranks, initial)
 	c.lastStats = fab.Snapshot()
 	return results, err
 }
 
-// runAllRanks drives every rank of one dataflow execution over fab,
-// dispatching onto pool (nil = inline execution). It owns abort propagation
-// and result merging but neither the transport nor the pool — both outlive
-// the call, which is what lets a resident Service run a stream of graphs
-// over one warm fabric and executor (each Submit passing its run's demuxed
-// transport view). One-shot paths (RunContext) build and tear down a fresh
-// pair per call.
-func (c *Controller) runAllRanks(ctx context.Context, fab fabric.Transport, pool *fabric.Pool, leds []*core.Ledger, initial map[core.TaskId][]core.Payload) (map[core.TaskId][]core.Payload, error) {
-	ranks := c.tmap.ShardCount()
-	results := make(map[core.TaskId][]core.Payload)
-	var resMu sync.Mutex
-	var firstErr error
-	var errMu sync.Mutex
-	abort := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-		fab.Cancel()
-	}
-	stop := watchContext(ctx, abort)
-	defer stop()
-
-	env := &runEnv{
-		tmap:    c.tmap,
-		fab:     fab,
-		pool:    pool,
-		abort:   abort,
-		results: results,
-		resMu:   &resMu,
-		leds:    leds,
-	}
-	if leds != nil {
-		env.seq = make([]atomic.Uint64, ranks)
-	}
+// run is the rank harness, the one driver of every entry point that
+// executes ranks of a dataflow: it starts ranks [lo, hi) of env's run
+// concurrently, aborts the run when ctx ends, and returns either the sinks
+// of the tasks those ranks own or the run's first failure. Callers choose
+// only which ranks to start and how far env — and so an abort — reaches:
+// one call (RunContext, RunRank, Service.Submit) or a whole in-situ Group.
+func (c *Controller) run(ctx context.Context, env *runEnv, lo, hi int, initial map[core.TaskId][]core.Payload) (map[core.TaskId][]core.Payload, error) {
+	stop := watchContext(ctx, env.abort)
 	var wg sync.WaitGroup
-	for r := 0; r < ranks; r++ {
+	for r := lo; r < hi; r++ {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
 			if err := c.runRank(rank, env, initial); err != nil {
-				abort(err)
+				env.abort(err)
 			}
 		}(r)
 	}
 	wg.Wait()
-
-	errMu.Lock()
-	defer errMu.Unlock()
-	if firstErr != nil {
-		return nil, firstErr
+	stop()
+	if err := env.firstErr(); err != nil {
+		return nil, err
 	}
-	return results, nil
+	return env.takeSinks(lo, hi), nil
 }
 
 // watchContext aborts the run when the context ends. The returned stop
@@ -527,21 +491,21 @@ func (c *Controller) WireOptions() wire.Options {
 // sharing a transport per rank); its executor serves only the local rank,
 // so the worker budget applies per process.
 //
+// tmap places the tasks; nil selects the map given to Initialize, and an
+// elastic or recovery epoch passes its rebalanced map. led is the rank's
+// lineage ledger: tasks already recorded there replay their outputs instead
+// of re-executing. A nil led runs without lineage, or over the rank's own
+// journal when the controller has one (WithJournal).
+//
 // initial must contain exactly the external inputs of this rank's tasks.
 // RunRank returns the sink outputs produced by local tasks. On any local
 // failure the transport is cancelled so every peer unwinds; a peer or
-// transport failure surfaces as the transport's typed error.
+// transport failure surfaces as the transport's typed error, and a rank
+// stopped by a peer's failure with tasks pending reports fabric.ErrClosed.
 //
 // RunRank is safe to call concurrently for different ranks on one shared
 // controller (it does not update Stats — consult the transport's Snapshot).
-func (c *Controller) RunRank(rank int, tr fabric.Transport, initial map[core.TaskId][]core.Payload) (map[core.TaskId][]core.Payload, error) {
-	return c.runRankOn(context.Background(), rank, tr, initial, nil, nil)
-}
-
-// runRankOn is the common single-rank entry: RunRank passes a nil ledger
-// and map (plain execution over c.tmap); the recovery coordinator passes
-// the rank's persistent lineage ledger and the epoch's rebalanced task map.
-func (c *Controller) runRankOn(ctx context.Context, rank int, tr fabric.Transport, initial map[core.TaskId][]core.Payload, led *core.Ledger, tmap core.TaskMap) (map[core.TaskId][]core.Payload, error) {
+func (c *Controller) RunRank(ctx context.Context, rank int, tr fabric.Transport, initial map[core.TaskId][]core.Payload, tmap core.TaskMap, led *core.Ledger) (map[core.TaskId][]core.Payload, error) {
 	if c.graph == nil {
 		return nil, core.ErrNotInitialized
 	}
@@ -562,7 +526,7 @@ func (c *Controller) runRankOn(ctx context.Context, rank int, tr fabric.Transpor
 		return nil, err
 	}
 
-	// A journal-configured plain run (RunRank without a recovery
+	// A journal-configured plain run (no ledger from a recovery
 	// coordinator) opens its own durable ledger: outputs journal as tasks
 	// complete, and a restart over the same directory replays them.
 	if led == nil && c.opt.Journal != "" {
@@ -579,62 +543,16 @@ func (c *Controller) runRankOn(ctx context.Context, rank int, tr fabric.Transpor
 		}()
 	}
 
-	var pool *fabric.Pool
-	if !c.opt.Inline {
-		// All workers home on the one local rank; peer deques stay empty.
-		n := c.opt.Workers
-		if local := len(tmap.Ids(core.ShardId(rank))); n > local {
-			n = local
-		}
-		if n < 1 {
-			n = 1
-		}
-		homes := make([]int, n)
-		for i := range homes {
-			homes[i] = rank
-		}
-		pool = fabric.NewPool(tr.Ranks(), homes,
-			fabric.PoolOptions{FIFO: c.opt.FIFO, NoSteal: c.opt.NoSteal})
+	pool := newPool(&c.opt, tr.Ranks(), rank, len(tmap.Ids(core.ShardId(rank))))
+	if pool != nil {
 		defer pool.Close()
 	}
-
-	var firstErr error
-	var errMu sync.Mutex
-	abort := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-		tr.Cancel()
-	}
-	stop := watchContext(ctx, abort)
-	defer stop()
-
-	results := make(map[core.TaskId][]core.Payload)
-	var resMu sync.Mutex
-	env := &runEnv{
-		tmap:    tmap,
-		fab:     tr,
-		pool:    pool,
-		abort:   abort,
-		results: results,
-		resMu:   &resMu,
-	}
+	var leds []*core.Ledger
 	if led != nil {
-		env.leds = make([]*core.Ledger, tr.Ranks())
-		env.leds[rank] = led
-		env.seq = make([]atomic.Uint64, tr.Ranks())
+		leds = make([]*core.Ledger, tr.Ranks())
+		leds[rank] = led
 	}
-	if err := c.runRank(rank, env, initial); err != nil {
-		abort(err)
-	}
-	errMu.Lock()
-	defer errMu.Unlock()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return results, nil
+	return c.run(ctx, newRunEnv(tmap, tr, pool, leds), rank, rank+1, initial)
 }
 
 // checkLocalInitial verifies rank-local external inputs: exactly the
@@ -677,21 +595,84 @@ func checkLocalInitial(g core.TaskGraph, m core.TaskMap, rank int, initial map[c
 // longer rank-scoped, so scratch lives in a pool instead of a worker local.
 var scratchPool = sync.Pool{New: func() any { return new([]fabric.Message) }}
 
-// runEnv bundles the state one dataflow execution threads through the rank
-// loops: the task map of this epoch (recovery may differ from Initialize's),
-// the transport, the shared executor, the abort hook, the merged sink
-// results, and — for fault-tolerant runs — the rank's lineage ledger plus
-// the per-home-rank egress sequence counters that give messages a dedup
-// identity.
+// runEnv is the state of one dataflow execution that the rank loops
+// share: the task map of this epoch (recovery may differ from
+// Initialize's), the transport, the shared executor (nil in Inline mode),
+// the run's first failure, the sink outputs collected so far, and — for
+// fault-tolerant runs — the per-rank lineage ledgers plus the per-home-rank
+// egress sequence counters that give messages a dedup identity.
 type runEnv struct {
-	tmap    core.TaskMap
-	fab     fabric.Transport
-	pool    *fabric.Pool
-	abort   func(error)
-	results map[core.TaskId][]core.Payload
-	resMu   *sync.Mutex
-	leds    []*core.Ledger  // per-rank ledgers; nil outside ledgered runs
-	seq     []atomic.Uint64 // nil outside fault-tolerant runs
+	tmap core.TaskMap
+	fab  fabric.Transport
+	pool *fabric.Pool
+	leds []*core.Ledger  // per-rank ledgers; nil outside ledgered runs
+	seq  []atomic.Uint64 // nil outside fault-tolerant runs
+
+	mu    sync.Mutex
+	err   error                          // first failure; guarded by mu
+	sinks map[core.TaskId][]core.Payload // created on the first sink; guarded by mu
+}
+
+func newRunEnv(tmap core.TaskMap, fab fabric.Transport, pool *fabric.Pool, leds []*core.Ledger) *runEnv {
+	env := &runEnv{tmap: tmap, fab: fab, pool: pool, leds: leds}
+	if leds != nil {
+		env.seq = make([]atomic.Uint64, fab.Ranks())
+	}
+	return env
+}
+
+// abort records the run's first failure and cancels the transport so every
+// rank of the run unwinds.
+func (e *runEnv) abort(err error) {
+	e.mu.Lock()
+	if e.err == nil {
+		e.err = err
+	}
+	e.mu.Unlock()
+	e.fab.Cancel()
+}
+
+func (e *runEnv) firstErr() error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.err
+}
+
+// addSink records one sink output of task id.
+func (e *runEnv) addSink(id core.TaskId, p core.Payload) {
+	e.mu.Lock()
+	if e.sinks == nil {
+		e.sinks = make(map[core.TaskId][]core.Payload)
+	}
+	e.sinks[id] = append(e.sinks[id], p)
+	e.mu.Unlock()
+}
+
+// takeSinks removes and returns the sinks of tasks placed on ranks
+// [lo, hi). When the env holds no other rank's sinks — every run but an
+// in-situ shard finishing before its peers — the map is handed over whole.
+func (e *runEnv) takeSinks(lo, hi int) map[core.TaskId][]core.Payload {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	own := func(id core.TaskId) bool {
+		r := int(e.tmap.Shard(id))
+		return r >= lo && r < hi
+	}
+	for id := range e.sinks {
+		if !own(id) {
+			out := make(map[core.TaskId][]core.Payload)
+			for id, ps := range e.sinks {
+				if own(id) {
+					out[id] = ps
+					delete(e.sinks, id)
+				}
+			}
+			return out
+		}
+	}
+	out := e.sinks
+	e.sinks = nil
+	return out
 }
 
 // ledger returns rank's lineage ledger, or nil when the run keeps none.
@@ -861,11 +842,15 @@ func (c *Controller) runRank(rank int, env *runEnv, initial map[core.TaskId][]co
 	for remaining > 0 {
 		n, ok := env.fab.RecvBatch(rank, batch)
 		if !ok {
-			// Delivery became impossible. For a controller-initiated abort
-			// the aborting goroutine recorded the cause and Err() is nil;
-			// a transport-level failure (lost peer, broken wire) surfaces
-			// here as the typed transport error.
-			return env.fab.Err()
+			// Delivery became impossible. A transport-level failure (lost
+			// peer, broken wire) surfaces as the typed transport error; an
+			// abort within this run recorded its cause first. Otherwise a
+			// peer behind the transport stopped it: never report success
+			// with tasks pending.
+			if err := env.fab.Err(); err != nil {
+				return err
+			}
+			return fmt.Errorf("mpi: rank %d: transport closed with %d task(s) pending: %w", rank, remaining, fabric.ErrClosed)
 		}
 		for i := 0; i < n; i++ {
 			m := batch[i]
@@ -963,12 +948,9 @@ func (c *Controller) route(rank int, env *runEnv, t core.Task, attempt uint32, o
 		if len(consumers) == 0 {
 			// A dead token reaching a sink is a deactivated branch's
 			// non-result; only live payloads leave the dataflow.
-			if core.IsDead(out[slot]) {
-				continue
+			if !core.IsDead(out[slot]) {
+				env.addSink(t.Id, out[slot])
 			}
-			env.resMu.Lock()
-			env.results[t.Id] = append(env.results[t.Id], out[slot])
-			env.resMu.Unlock()
 			continue
 		}
 		p := out[slot]

@@ -54,12 +54,6 @@ func WithFIFO(fifo bool) Option {
 	return optionFunc(func(o *Options) { o.FIFO = fifo })
 }
 
-// WithBlocking switches the fabric to rendezvous sends, modeling blocking
-// MPI communication (see Options.Blocking).
-func WithBlocking(blocking bool) Option {
-	return optionFunc(func(o *Options) { o.Blocking = blocking })
-}
-
 // WithNoSteal disables work stealing between ranks (see Options.NoSteal).
 func WithNoSteal(noSteal bool) Option {
 	return optionFunc(func(o *Options) { o.NoSteal = noSteal })

@@ -4,8 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -90,21 +90,7 @@ func NewService(ranks int, opts ...Option) (*Service, error) {
 	if ranks <= 0 {
 		return nil, fmt.Errorf("mpi: service needs at least one rank, got %d", ranks)
 	}
-	if opt.Workers <= 0 {
-		opt.Workers = runtime.GOMAXPROCS(0)
-	}
-	if opt.Blocking {
-		// Rendezvous sends park the sender until the receiver dequeues; with
-		// many runs sharing rank mailboxes that coupling deadlocks.
-		return nil, fmt.Errorf("mpi: service does not support blocking sends")
-	}
-
-	var base fabric.Transport
-	if opt.Transport != nil {
-		base = opt.Transport(ranks)
-	} else {
-		base = fabric.New(ranks)
-	}
+	base := opt.transport(ranks)
 	local := make([]int, ranks)
 	for i := range local {
 		local[i] = i
@@ -116,14 +102,7 @@ func NewService(ranks int, opts ...Option) (*Service, error) {
 		demux:    fabric.NewDemux(base, local...),
 		rankRuns: make([]atomic.Int64, ranks),
 		draining: make(map[int]bool),
-	}
-	if !opt.Inline {
-		n := opt.Workers
-		if opt.NoSteal && n < ranks {
-			n = ranks
-		}
-		s.pool = fabric.NewPool(ranks, fabric.RoundRobinHomes(n, ranks),
-			fabric.PoolOptions{FIFO: opt.FIFO, NoSteal: opt.NoSteal})
+		pool:     newPool(&opt, ranks, -1, math.MaxInt),
 	}
 	return s, nil
 }
@@ -372,7 +351,7 @@ func (s *Service) Submit(ctx context.Context, sub Submission) (map[core.TaskId][
 	}
 	defer s.demux.Release(id)
 
-	results, err := ctrl.runAllRanks(ctx, view, s.pool, leds, sub.Initial)
+	results, err := ctrl.run(ctx, newRunEnv(tmap, view, s.pool, leds), 0, s.ranks, sub.Initial)
 	closeLeds() // record journal counters before reading them
 	return results, ctrl.JournalStats(), err
 }

@@ -158,7 +158,7 @@ func TestRunRankJournalClosedOnError(t *testing.T) {
 	c.RegisterCallback(graphs.ReduceRootCB, func([]core.Payload, core.TaskId) ([]core.Payload, error) {
 		return nil, errors.New("boom")
 	})
-	if _, err := c.RunRank(0, fabric.New(1), reductionInputs(g)); err == nil {
+	if _, err := c.RunRank(context.Background(), 0, fabric.New(1), reductionInputs(g), nil, nil); err == nil {
 		t.Fatal("RunRank with a failing root should fail")
 	}
 	if base >= 0 {

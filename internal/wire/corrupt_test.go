@@ -70,7 +70,7 @@ func TestStalledPeerDetectedByTightenedTimeout(t *testing.T) {
 	opt := Options{
 		HeartbeatInterval: 50 * time.Millisecond,
 		HeartbeatTimeout:  timeout,
-		Tier:              TierUnix, // WrapConn intercepts socket writes, not rings
+		Tier:              TierUnix,                              // WrapConn intercepts socket writes, not rings
 		WrapConn:          faultinject.StallAfterWrites(0, 1, 0), // mute from the first data-phase write
 	}
 	fabrics := connectMesh(t, 2, opt)

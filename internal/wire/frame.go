@@ -264,7 +264,11 @@ type hello struct {
 	Endpoint    endpoint // advertised data endpoints (zero on peer dials)
 }
 
+// appendString appends s with a u16 length prefix. A longer string (an
+// error summary in a Status detail, say) is cut to the first maxAddrLen
+// bytes, so the prefix always matches the bytes that follow it.
 func appendString(b []byte, s string) []byte {
+	s = s[:min(len(s), maxAddrLen)]
 	b = binary.LittleEndian.AppendUint16(b, uint16(len(s)))
 	return append(b, s...)
 }

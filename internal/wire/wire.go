@@ -332,6 +332,13 @@ func Connect(opt Options) (*Fabric, error) {
 			anyShm = true
 		}
 		f.peers[r] = p
+	}
+	// Start the loops only once the peer table is complete: a loop that
+	// fails a peer cancels the fabric, which walks every peer.
+	for _, p := range f.peers {
+		if p == nil {
+			continue
+		}
 		f.writers.Add(1)
 		f.readers.Add(1)
 		if p.shm != nil {
