@@ -143,14 +143,20 @@ smoke-elastic:
 		-drain 1 -drain-after 400ms -journal $$dir -wire-tier tcp; \
 	rm -rf $$dir
 
-## stress: the timing-sensitive conformance suites (wire failure typing,
-## fault recovery, resume, elastic membership) 50 times over, once with a
-## single scheduler thread and once with two, so races between a failing
-## peer's teardown and concurrent senders show up as failures here rather
-## than as flakes in `make test`.
+## stress: the timing-sensitive suites, once with a single scheduler thread
+## and once with two: the conformance suites (wire failure typing, fault
+## recovery, resume, elastic membership) 50 times over, so races between a
+## failing peer's teardown and concurrent senders show up as failures here
+## rather than as flakes in `make test`; the serve.Server admission, cancel
+## and drain tests (20 times: they sleep) and the mpi.Service tests (50
+## times), whose concurrency the admission path drives.
 stress:
 	GOMAXPROCS=1 $(GO) test -count=50 -run 'TestWire|TestFault|TestResume|TestElastic' ./internal/conformance
 	GOMAXPROCS=2 $(GO) test -count=50 -run 'TestWire|TestFault|TestResume|TestElastic' ./internal/conformance
+	GOMAXPROCS=1 $(GO) test -count=20 -run 'TestServer' ./internal/serve
+	GOMAXPROCS=2 $(GO) test -count=20 -run 'TestServer' ./internal/serve
+	GOMAXPROCS=1 $(GO) test -count=50 -run 'TestService' ./internal/mpi
+	GOMAXPROCS=2 $(GO) test -count=50 -run 'TestService' ./internal/mpi
 
 ## fuzz-wire: short fuzz smoke of the wire frame decoder, the gate's
 ## ticket and status bodies and the journal's ledger records (longer runs:

@@ -35,7 +35,7 @@ type serveResult struct {
 	SpeedupX float64 `json:"speedup_x"`
 	// SustainedPerSec is end-to-end serve.Server throughput: Submissions
 	// runs streamed from 8 concurrent clients through the admission queue,
-	// batcher and warm service.
+	// executors and warm service.
 	SustainedPerSec float64 `json:"sustained_runs_per_sec"`
 	Submissions     int     `json:"submissions"`
 	Tasks           int     `json:"tasks"`

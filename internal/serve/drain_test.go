@@ -37,6 +37,10 @@ func TestServerDrainAdmission(t *testing.T) {
 	if err := s.Drain(0); !errors.Is(err, ErrDraining) {
 		t.Fatalf("draining the last rank: got %v, want ErrDraining", err)
 	}
+	// Nothing runs on rank 1, so its fence closes inside Drain.
+	if m := s.Metrics(); m.DrainFences != 0 || m.Drains == 0 {
+		t.Fatalf("drain of an idle rank: fences=%d drains=%d, want 0 in flight and a completed drain", m.DrainFences, m.Drains)
+	}
 
 	// Pinned to the draining rank: shed at admission, typed.
 	if _, err := s.Submit("reduction", Params{"blocks": 8, "payload": 32, "pin": 1}); !errors.Is(err, ErrDraining) {
@@ -112,7 +116,7 @@ func TestServerDrainHTTP(t *testing.T) {
 	var queued RunStatus
 	json.Unmarshal(body, &queued)
 
-	// Give the dispatcher a moment to move the run onto the fabric.
+	// Give an executor a moment to move the run onto the fabric.
 	deadline := time.Now().Add(2 * time.Second)
 	for s.svc.RankActive(1) == 0 {
 		if time.Now().After(deadline) {
@@ -154,16 +158,13 @@ func TestServerDrainHTTP(t *testing.T) {
 		t.Fatal("429 without Retry-After")
 	}
 
-	// Wait out the parked run; the fence closes and health recovers.
+	// Wait out the parked run. It was the rank's last, so its completion
+	// closes the fence before Wait returns: no later run or timer is needed.
 	if _, err := s.Wait(context.Background(), queued.ID); err != nil {
 		t.Fatal(err)
 	}
-	deadline = time.Now().Add(2 * time.Second)
-	for s.Fencing() {
-		if time.Now().After(deadline) {
-			t.Fatal("drain fence never closed")
-		}
-		time.Sleep(2 * time.Millisecond)
+	if s.Fencing() {
+		t.Fatal("drain fence still open after the rank's last run finished")
 	}
 	m := s.Metrics()
 	if m.Drains != 1 || m.DrainLatencyMs <= 0 {

@@ -1,9 +1,9 @@
 // Package serve is the long-lived streaming dataflow service behind
 // bfserve. One mpi.Service keeps a rank fabric, a warm worker pool and a
 // journal root resident; this package adds the multi-tenant front: an
-// admission queue with bounded depth and typed load-shedding, a dispatcher
-// that batches small submissions before releasing them onto the warm
-// fabric, per-run lifecycle records (queued → running → done/failed/
+// admission queue with bounded depth and typed load-shedding, a fixed set
+// of executors that each start the next queued submission the moment they
+// are free, per-run lifecycle records (queued → running → done/failed/
 // cancelled) with queue-wait/makespan/journal metrics, and aggregate
 // service counters with latency percentiles.
 package serve
@@ -68,17 +68,11 @@ type Config struct {
 	// QueueDepth bounds the admission queue; a full queue sheds with
 	// ErrOverloaded (default 256).
 	QueueDepth int
-	// MaxInflight bounds concurrently executing runs; the dispatcher blocks
-	// (backpressure into the queue) once the bound is reached (default =
+	// MaxInflight is the number of executors, each running one admitted
+	// run at a time, so it bounds concurrently executing runs. While every
+	// executor is busy, further submissions wait in the queue (default =
 	// Ranks).
 	MaxInflight int
-	// BatchWindow is how long the dispatcher lingers collecting further
-	// queued submissions after the first before releasing the batch
-	// (default 2ms). Batching amortizes dispatcher wakeups under streams of
-	// small runs, file.d-style.
-	BatchWindow time.Duration
-	// MaxBatch caps a dispatch batch (default 16).
-	MaxBatch int
 	// History bounds how many finished run records the server retains for
 	// status queries (default 1024). Live runs are never evicted.
 	History int
@@ -99,12 +93,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxInflight <= 0 {
 		c.MaxInflight = c.Ranks
-	}
-	if c.BatchWindow <= 0 {
-		c.BatchWindow = 2 * time.Millisecond
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 16
 	}
 	if c.History <= 0 {
 		c.History = 1024
@@ -139,9 +127,10 @@ type Metrics struct {
 	Completed uint64 `json:"completed"`
 	Failed    uint64 `json:"failed"`
 	Cancelled uint64 `json:"cancelled"`
-	// QueueDepth is the number of submissions waiting for dispatch.
+	// QueueDepth is the number of submissions waiting for an executor.
 	QueueDepth int `json:"queue_depth"`
-	// Inflight is the number of currently executing runs.
+	// Inflight is the number of currently executing runs (at most
+	// MaxInflight).
 	Inflight int `json:"inflight"`
 	// QueueWaitP50Ms/P99Ms are percentiles over recent runs' queue waits.
 	QueueWaitP50Ms float64 `json:"queue_wait_p50_ms"`
@@ -221,17 +210,16 @@ type Server struct {
 	reg   *Registry
 	svc   *mpi.Service
 	queue chan *run
-	sem   chan struct{} // MaxInflight execution slots
 
-	next    atomic.Uint64
-	started time.Time
-	fences  atomic.Int32 // drain fences in flight (rank marked, not yet idle)
+	next     atomic.Uint64
+	started  time.Time
+	inflight atomic.Int32 // runs an executor has started and not finished
 
-	dispatchWG sync.WaitGroup
-	execWG     sync.WaitGroup
+	executors sync.WaitGroup
 
 	mu        sync.Mutex
 	closed    bool
+	fences    []fence // drains whose rank still carries runs
 	runs      map[uint64]*run
 	order     []uint64 // insertion order, for history eviction
 	accepted  uint64
@@ -245,7 +233,7 @@ type Server struct {
 	makespan  sampleRing
 }
 
-// NewServer builds the service and starts its dispatcher.
+// NewServer builds the service and starts its MaxInflight executors.
 func NewServer(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	svc, err := mpi.NewService(cfg.Ranks, mpi.WithWorkers(cfg.Workers), mpi.WithJournal(cfg.Journal))
@@ -257,14 +245,15 @@ func NewServer(cfg Config) (*Server, error) {
 		reg:     cfg.Registry,
 		svc:     svc,
 		queue:   make(chan *run, cfg.QueueDepth),
-		sem:     make(chan struct{}, cfg.MaxInflight),
 		started: time.Now(),
 		runs:    make(map[uint64]*run),
 	}
 	s.queueWait.init(1024)
 	s.makespan.init(1024)
-	s.dispatchWG.Add(1)
-	go s.dispatch()
+	s.executors.Add(cfg.MaxInflight)
+	for i := 0; i < cfg.MaxInflight; i++ {
+		go s.executor()
+	}
 	return s, nil
 }
 
@@ -287,19 +276,35 @@ func (s *Server) Drain(rank int) error {
 	if err := s.svc.Drain(rank); err != nil {
 		return err
 	}
-	start := time.Now()
-	s.fences.Add(1)
-	go func() {
-		defer s.fences.Add(-1)
-		for s.svc.RankActive(rank) > 0 {
-			time.Sleep(2 * time.Millisecond)
-		}
-		s.mu.Lock()
-		s.drains++
-		s.drainMs = float64(time.Since(start)) / float64(time.Millisecond)
-		s.mu.Unlock()
-	}()
+	s.mu.Lock()
+	s.fences = append(s.fences, fence{rank: rank, start: time.Now()})
+	s.closeFencesLocked()
+	s.mu.Unlock()
 	return nil
+}
+
+// fence is a drain in flight: its rank is marked draining but still
+// carries runs.
+type fence struct {
+	rank  int
+	start time.Time
+}
+
+// closeFencesLocked closes every fence whose rank no run occupies any more
+// and records its latency. Drain calls it for an already idle rank, finish
+// after each run leaves the fabric, so a fence closes with the completion
+// of its rank's last run.
+func (s *Server) closeFencesLocked() {
+	open := s.fences[:0]
+	for _, f := range s.fences {
+		if s.svc.RankActive(f.rank) > 0 {
+			open = append(open, f)
+			continue
+		}
+		s.drains++
+		s.drainMs = float64(time.Since(f.start)) / float64(time.Millisecond)
+	}
+	s.fences = open
 }
 
 // Undrain returns a previously drained rank to service.
@@ -307,7 +312,11 @@ func (s *Server) Undrain(rank int) error { return s.svc.Undrain(rank) }
 
 // Fencing reports whether any drain fence is still in flight — a drained
 // rank that has not yet quiesced.
-func (s *Server) Fencing() bool { return s.fences.Load() > 0 }
+func (s *Server) Fencing() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.fences) > 0
+}
 
 // Draining lists the ranks currently marked draining.
 func (s *Server) Draining() []int { return s.svc.Draining() }
@@ -388,54 +397,13 @@ func (s *Server) evictLocked() {
 	}
 }
 
-// dispatch is the admission loop: it blocks for the first queued run, then
-// lingers up to BatchWindow collecting up to MaxBatch further runs, and
-// releases the whole batch onto the warm fabric — bounded by MaxInflight,
-// whose backpressure propagates into the queue and from there into
-// ErrOverloaded shedding.
-func (s *Server) dispatch() {
-	defer s.dispatchWG.Done()
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	for {
-		r, ok := <-s.queue
-		if !ok {
-			return
-		}
-		batch := append(make([]*run, 0, s.cfg.MaxBatch), r)
-		timer.Reset(s.cfg.BatchWindow)
-	gather:
-		for len(batch) < s.cfg.MaxBatch {
-			select {
-			case r2, ok := <-s.queue:
-				if !ok {
-					break gather
-				}
-				batch = append(batch, r2)
-			case <-timer.C:
-				break gather
-			}
-		}
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-		for _, r := range batch {
-			// Acquiring a MaxInflight slot here (not in the goroutine) is
-			// the backpressure bound: a saturated service parks the
-			// dispatcher, the queue fills, and Submit sheds.
-			s.sem <- struct{}{}
-			s.execWG.Add(1)
-			go func(r *run) {
-				defer s.execWG.Done()
-				defer func() { <-s.sem }()
-				s.execute(r)
-			}(r)
-		}
+// executor runs queued submissions one at a time until Close closes the
+// queue, so a free executor never waits while a run is queued, and a busy
+// one leaves further runs in the queue, where a full queue sheds.
+func (s *Server) executor() {
+	defer s.executors.Done()
+	for r := range s.queue {
+		s.execute(r)
 	}
 }
 
@@ -450,6 +418,7 @@ func (s *Server) execute(r *run) {
 	r.state = StateRunning
 	r.started = start
 	r.mu.Unlock()
+	s.inflight.Add(1) // finish takes it back
 
 	sub, err := s.reg.Build(r.program, r.params)
 	if err != nil {
@@ -475,8 +444,9 @@ func (s *Server) execute(r *run) {
 	s.finish(r, digest, js, derr)
 }
 
-// finish moves a run to its terminal state and folds its latencies into the
-// aggregate metrics.
+// finish moves a run to its terminal state, folds its latencies into the
+// aggregate metrics and closes the drain fences it was the last run on,
+// all before waiters see the run done.
 func (s *Server) finish(r *run, digest string, js mpi.JournalStats, err error) {
 	now := time.Now()
 	r.mu.Lock()
@@ -496,8 +466,6 @@ func (s *Server) finish(r *run, digest string, js mpi.JournalStats, err error) {
 	state := r.state
 	wait, span := r.started.Sub(r.submitted), now.Sub(r.started)
 	r.mu.Unlock()
-	close(r.done)
-	r.cancel()
 
 	s.mu.Lock()
 	switch state {
@@ -510,7 +478,11 @@ func (s *Server) finish(r *run, digest string, js mpi.JournalStats, err error) {
 	}
 	s.queueWait.add(wait)
 	s.makespan.add(span)
+	s.inflight.Add(-1)
+	s.closeFencesLocked()
 	s.mu.Unlock()
+	close(r.done)
+	r.cancel()
 }
 
 // Get returns the run's current status.
@@ -596,7 +568,7 @@ func (s *Server) Metrics() Metrics {
 		Failed:         s.failed,
 		Cancelled:      s.cancelled,
 		QueueDepth:     len(s.queue),
-		Inflight:       len(s.sem),
+		Inflight:       int(s.inflight.Load()),
 		QueueWaitP50Ms: ms(s.queueWait.percentile(0.50)),
 		QueueWaitP99Ms: ms(s.queueWait.percentile(0.99)),
 		MakespanP50Ms:  ms(s.makespan.percentile(0.50)),
@@ -604,7 +576,7 @@ func (s *Server) Metrics() Metrics {
 		WireTiers:      s.svc.WireTiers(),
 		StrayFrames:    s.svc.Stray(),
 		DrainingRanks:  s.svc.Draining(),
-		DrainFences:    int(s.fences.Load()),
+		DrainFences:    len(s.fences),
 		Drains:         s.drains,
 		DrainLatencyMs: s.drainMs,
 		HandoffRuns:    hr,
@@ -623,10 +595,9 @@ func (s *Server) Close() error {
 	s.closed = true
 	s.mu.Unlock()
 	// All sends happen under mu with closed checked, so no send can race
-	// this close.
+	// this close. The executors run what is still queued, then exit.
 	close(s.queue)
-	s.dispatchWG.Wait()
-	s.execWG.Wait()
+	s.executors.Wait()
 	return s.svc.Close()
 }
 

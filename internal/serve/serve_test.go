@@ -22,10 +22,27 @@ import (
 // parks for sleep_ms — the knob the shedding and cancel tests use to build
 // a backlog.
 func slowRegistry() *Registry {
+	return rootHookRegistry("slow", "reduction whose root sleeps (sleep_ms)", func(p Params) {
+		time.Sleep(time.Duration(p.get("sleep_ms", 20)) * time.Millisecond)
+	})
+}
+
+// gatedRegistry augments the defaults with a "gated" program whose root
+// blocks until release is closed, so a test can hold a run in StateRunning
+// for as long as it needs.
+func gatedRegistry(release <-chan struct{}) *Registry {
+	return rootHookRegistry("gated", "reduction whose root waits for the test to release it", func(Params) {
+		<-release
+	})
+}
+
+// rootHookRegistry augments the defaults with a reduction program whose
+// root task calls atRoot with the run's params before it computes.
+func rootHookRegistry(name, about string, atRoot func(Params)) *Registry {
 	r := DefaultRegistry()
 	r.Add(Program{
-		Name:  "slow",
-		About: "reduction whose root sleeps (sleep_ms)",
+		Name:  name,
+		About: about,
 		Build: func(p Params) (mpi.Submission, error) {
 			g, err := graphs.NewReduction(4, 2)
 			if err != nil {
@@ -33,12 +50,11 @@ func slowRegistry() *Registry {
 			}
 			sub := prototypeSubmission(g, p)
 			mix := mixCallback(g)
-			nap := time.Duration(p.get("sleep_ms", 20)) * time.Millisecond
 			sub.Register = func(c core.CallbackRegistrar) error {
 				for _, cb := range g.Callbacks() {
 					if err := c.RegisterCallback(cb, func(in []core.Payload, id core.TaskId) ([]core.Payload, error) {
 						if t, _ := g.Task(id); t.IsRoot() {
-							time.Sleep(nap)
+							atRoot(p)
 						}
 						return mix(in, id)
 					}); err != nil {
@@ -178,7 +194,6 @@ func TestServerShedsWhenOverloaded(t *testing.T) {
 		QueueDepth:  2,
 		MaxInflight: 1,
 		Registry:    slowRegistry(),
-		BatchWindow: time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -225,7 +240,6 @@ func TestServerCancel(t *testing.T) {
 		QueueDepth:  8,
 		MaxInflight: 1,
 		Registry:    slowRegistry(),
-		BatchWindow: time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -428,7 +442,6 @@ func TestServerHTTP(t *testing.T) {
 		QueueDepth:  2,
 		MaxInflight: 1,
 		Registry:    reg,
-		BatchWindow: time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -541,5 +554,93 @@ func TestReferenceDigestStable(t *testing.T) {
 		if c == a {
 			t.Fatalf("%s: digest ignores parameters", name)
 		}
+	}
+}
+
+// TestServerAdmissionBound pins the admission contract: a saturated server
+// holds exactly QueueDepth + MaxInflight admitted runs (nothing waits
+// outside the queue), reports one run in flight per busy executor, and a
+// run cancelled while queued is skipped without ever starting.
+func TestServerAdmissionBound(t *testing.T) {
+	release := make(chan struct{})
+	s, err := NewServer(Config{
+		Ranks:       2,
+		QueueDepth:  2,
+		MaxInflight: 1,
+		Registry:    gatedRegistry(release),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	released := false
+	defer func() {
+		if !released {
+			close(release)
+		}
+	}()
+
+	a, err := s.Submit("gated", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		st, err := s.Get(a.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State == StateRunning {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("run A never started: state %s", st.State)
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	var queued []uint64
+	for i := 0; i < 2; i++ {
+		st, err := s.Submit("gated", nil)
+		if err != nil {
+			t.Fatalf("submission %d behind the running run: %v", i, err)
+		}
+		queued = append(queued, st.ID)
+	}
+	// Leave time for anything that would pull runs out of the queue early:
+	// the bound must hold however long the server stays saturated.
+	time.Sleep(10 * time.Millisecond)
+	if _, err := s.Submit("gated", nil); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("submission beyond QueueDepth+MaxInflight: err=%v, want ErrOverloaded", err)
+	}
+	if m := s.Metrics(); m.Inflight != 1 || m.QueueDepth != 2 {
+		t.Fatalf("saturated server: inflight=%d queue_depth=%d, want 1 and 2", m.Inflight, m.QueueDepth)
+	}
+
+	cancelled, kept := queued[1], queued[0]
+	if _, err := s.Cancel(cancelled); err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	released = true
+	for _, id := range []uint64{a.ID, kept} {
+		st, err := s.Wait(context.Background(), id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State != StateDone {
+			t.Fatalf("run %d: state %s, err %q", id, st.State, st.Error)
+		}
+	}
+	st, err := s.Wait(context.Background(), cancelled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != StateCancelled || st.QueueWaitMs != 0 {
+		t.Fatalf("cancelled queued run: state %s, queue wait %vms; want cancelled and never started", st.State, st.QueueWaitMs)
+	}
+	m := s.Metrics()
+	if m.Cancelled != 1 || m.Completed != 2 || m.Shed != 1 || m.Inflight != 0 {
+		t.Fatalf("metrics %+v, want cancelled=1 completed=2 shed=1 inflight=0", m)
 	}
 }
